@@ -7,13 +7,36 @@ use core::str::FromStr;
 
 use bss_json::{FromJson, JsonError, ToJson, Value};
 
-use crate::gcd;
+use crate::{gcd, gcd_u64};
+
+/// `a · b`. Word lane: when both operands fit in `i64` the product is one
+/// 64×64→128 multiplication, at most `2^126` in magnitude, so it cannot
+/// overflow and needs no check. Wide lane: `i128::checked_mul`.
+#[inline]
+fn mul_i128(a: i128, b: i128) -> Option<i128> {
+    match (i64::try_from(a), i64::try_from(b)) {
+        (Ok(a), Ok(b)) => Some(i128::from(a) * i128::from(b)),
+        _ => a.checked_mul(b),
+    }
+}
+
+/// `a / d` for `d > 0`, as an `i64` division when both fit in `i64`.
+#[inline]
+fn div_i128(a: i128, d: i128) -> i128 {
+    debug_assert!(d > 0);
+    match (i64::try_from(a), i64::try_from(d)) {
+        (Ok(a), Ok(d)) => i128::from(a / d),
+        _ => a / d,
+    }
+}
 
 /// An exact rational number `num / den` with `den > 0` and `gcd(|num|, den) == 1`.
 ///
 /// All arithmetic is checked: overflow of the underlying `i128` representation
 /// panics. The scheduling instance model keeps all inputs below `2^60`, which
-/// leaves ample headroom for the products formed by the algorithms.
+/// leaves ample headroom for the products formed by the algorithms, and keeps
+/// them in the word lane described in the crate docs. The representation is
+/// canonical, so the lane an operation takes never shows in its result.
 ///
 /// ```
 /// use bss_rational::Rational;
@@ -62,8 +85,8 @@ impl FromJson for Rational {
                 "Rational.den must be in [1, 2^32], got {den}"
             )));
         }
-        // The magnitude bound also excludes `i128::MIN`, whose
-        // `unsigned_abs() as i128` wraps and would hang `gcd`.
+        // The magnitude bound also excludes `i128::MIN`, whose magnitude
+        // `i128` cannot hold: reducing it would panic.
         if !(-Rational::MAX_WIRE_NUM..=Rational::MAX_WIRE_NUM).contains(&num) {
             return Err(JsonError::new("Rational.num out of range (|num| > 2^94)"));
         }
@@ -85,25 +108,51 @@ impl Rational {
     #[inline]
     pub fn new(num: i128, den: i128) -> Self {
         assert!(den != 0, "Rational denominator must be non-zero");
-        let (num, den) = if den < 0 { (-num, -den) } else { (num, den) };
+        Rational::checked_new(num, den).expect("Rational overflow")
+    }
+
+    /// [`Rational::new`] for `den != 0`, or `None` when the value has no
+    /// canonical form in `i128`: a part equal to `i128::MIN` has no
+    /// magnitude there, so neither the sign normalization nor the gcd could
+    /// run on it (the binary gcd would never end).
+    #[inline]
+    fn checked_new(num: i128, den: i128) -> Option<Self> {
+        debug_assert!(den != 0);
+        let (num, den) = if den < 0 {
+            (num.checked_neg()?, den.checked_neg()?)
+        } else {
+            (num, den)
+        };
         // Hot-path shortcuts: integral and zero values need no gcd at all
         // (binary gcd on a 60-bit numerator costs dozens of iterations, and
         // the scheduling algorithms form integral values constantly).
         if den == 1 {
-            return Rational { num, den: 1 };
+            return Some(Rational { num, den: 1 });
         }
         if num == 0 {
-            return Rational::ZERO;
+            return Some(Rational::ZERO);
         }
-        let g = gcd(num.unsigned_abs() as i128, den);
-        if g <= 1 {
+        // Word lane: reduce the magnitudes with a `u64` gcd and division.
+        if let (Ok(n), Ok(d)) = (u64::try_from(num.unsigned_abs()), u64::try_from(den)) {
+            let g = gcd_u64(n, d);
+            if g == 1 {
+                return Some(Rational { num, den });
+            }
+            let n = i128::from(n / g);
+            return Some(Rational {
+                num: if num < 0 { -n } else { n },
+                den: i128::from(d / g),
+            });
+        }
+        let g = gcd(num.checked_abs()?, den);
+        Some(if g <= 1 {
             Rational { num, den }
         } else {
             Rational {
                 num: num / g,
                 den: den / g,
             }
-        }
+        })
     }
 
     /// Creates an integral rational.
@@ -152,9 +201,9 @@ impl Rational {
     #[must_use]
     pub fn floor(&self) -> i128 {
         if self.num >= 0 {
-            self.num / self.den
+            div_i128(self.num, self.den)
         } else {
-            (self.num - (self.den - 1)) / self.den
+            div_i128(self.num - (self.den - 1), self.den)
         }
     }
 
@@ -162,9 +211,9 @@ impl Rational {
     #[must_use]
     pub fn ceil(&self) -> i128 {
         if self.num > 0 {
-            (self.num + (self.den - 1)) / self.den
+            div_i128(self.num + (self.den - 1), self.den)
         } else {
-            self.num / self.den
+            div_i128(self.num, self.den)
         }
     }
 
@@ -260,29 +309,26 @@ impl Rational {
             if self.den == 1 {
                 return Some(Rational { num, den: 1 });
             }
-            return Some(Rational::new(num, self.den));
+            return Rational::checked_new(num, self.den);
         }
         // Integer + fraction needs no gcd either: for reduced `a/b`,
         // `gcd(a + c·b, b) = gcd(a, b) = 1`, so the sum is already canonical.
         if rhs.den == 1 {
-            let num = self.num.checked_add(rhs.num.checked_mul(self.den)?)?;
+            let num = self.num.checked_add(mul_i128(rhs.num, self.den)?)?;
             return Some(Rational { num, den: self.den });
         }
         if self.den == 1 {
-            let num = rhs.num.checked_add(self.num.checked_mul(rhs.den)?)?;
+            let num = rhs.num.checked_add(mul_i128(self.num, rhs.den)?)?;
             return Some(Rational { num, den: rhs.den });
         }
         // a/b + c/d = (a*(lcm/b) + c*(lcm/d)) / lcm, computed via the gcd of
         // the denominators to keep intermediates small.
         let g = gcd(self.den, rhs.den);
-        let lhs_scale = rhs.den / g;
-        let rhs_scale = self.den / g;
-        let num = self
-            .num
-            .checked_mul(lhs_scale)?
-            .checked_add(rhs.num.checked_mul(rhs_scale)?)?;
-        let den = self.den.checked_mul(lhs_scale)?;
-        Some(Rational::new(num, den))
+        let lhs_scale = div_i128(rhs.den, g);
+        let rhs_scale = div_i128(self.den, g);
+        let num = mul_i128(self.num, lhs_scale)?.checked_add(mul_i128(rhs.num, rhs_scale)?)?;
+        let den = mul_i128(self.den, lhs_scale)?;
+        Rational::checked_new(num, den)
     }
 
     #[inline]
@@ -290,7 +336,7 @@ impl Rational {
         // Fast path: integer times integer never needs a gcd.
         if self.den == 1 && rhs.den == 1 {
             return Some(Rational {
-                num: self.num.checked_mul(rhs.num)?,
+                num: mul_i128(self.num, rhs.num)?,
                 den: 1,
             });
         }
@@ -299,10 +345,10 @@ impl Rational {
         // (each remaining numerator factor is coprime to both denominator
         // factors), so it can be constructed directly — no further gcd. A
         // zero stays canonical: `0/1` forces `g1 = rhs.den`, `g2 = 1`.
-        let g1 = gcd(self.num.unsigned_abs() as i128, rhs.den);
-        let g2 = gcd(rhs.num.unsigned_abs() as i128, self.den);
-        let num = (self.num / g1).checked_mul(rhs.num / g2)?;
-        let den = (self.den / g2).checked_mul(rhs.den / g1)?;
+        let g1 = gcd(self.num.checked_abs()?, rhs.den);
+        let g2 = gcd(rhs.num.checked_abs()?, self.den);
+        let num = mul_i128(div_i128(self.num, g1), div_i128(rhs.num, g2))?;
+        let den = mul_i128(div_i128(self.den, g2), div_i128(rhs.den, g1))?;
         Some(Rational { num, den })
     }
 }
@@ -371,8 +417,8 @@ impl Ord for Rational {
             return self.num.cmp(&other.num);
         }
         // a/b ? c/d  <=>  a*d ? c*b  (b, d > 0)
-        let lhs = self.num.checked_mul(other.den).expect("Rational overflow");
-        let rhs = other.num.checked_mul(self.den).expect("Rational overflow");
+        let lhs = mul_i128(self.num, other.den).expect("Rational overflow");
+        let rhs = mul_i128(other.num, self.den).expect("Rational overflow");
         lhs.cmp(&rhs)
     }
 }
@@ -549,6 +595,20 @@ mod tests {
     #[should_panic(expected = "non-zero")]
     fn zero_denominator_panics() {
         let _ = Rational::new(1, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "Rational overflow")]
+    fn min_numerator_is_overflow() {
+        let _ = Rational::new(i128::MIN, 3);
+    }
+
+    #[test]
+    fn sum_with_min_numerator_is_none_not_a_hang() {
+        // The unreduced numerator of this difference is exactly `-2^127`.
+        let a = Rational::new(-1, i128::from(i64::MAX));
+        let b = Rational::new((1 << 64) + 1, (1 << 63) + 1);
+        assert_eq!(a.checked_add(-b), None);
     }
 
     #[test]

@@ -7,12 +7,21 @@
 //! every such shortcut agrees with textbook reduced-fraction arithmetic
 //! across the JSON wire-format bounds (`|num| <= 2^94`, `den <= 2^32`),
 //! including the `i128` headroom edges where cross-multiplication is within
-//! a factor of two of overflow.
+//! a factor of two of overflow, and across the boundary between the word
+//! lane (operands that fit in 64 bits) and the wide `i128` lane.
 
 use std::cmp::Ordering;
 
 use bss_rational::{gcd, Rational, RawRational};
 use proptest::prelude::*;
+
+/// Textbook Euclid gcd on `u128`, independent of the crate's own lanes.
+fn euclid(mut a: u128, mut b: u128) -> u128 {
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    a
+}
 
 /// Textbook reference: reduce by gcd after every operation, compare by
 /// cross-multiplication. Deliberately naive — no fast paths to share bugs
@@ -27,7 +36,7 @@ impl Reference {
     fn new(num: i128, den: i128) -> Self {
         assert!(den != 0);
         let (num, den) = if den < 0 { (-num, -den) } else { (num, den) };
-        let g = gcd(num.unsigned_abs() as i128, den).max(1);
+        let g = euclid(num.unsigned_abs(), den as u128).max(1) as i128;
         Reference {
             num: num / g,
             den: den / g,
@@ -38,16 +47,47 @@ impl Reference {
         Reference::new(r.numer(), r.denom())
     }
 
+    /// The sum, or `None` where a naive intermediate leaves `i128` (an
+    /// `i128::MIN` part counts as leaving it: it has no magnitude there).
+    fn checked_add(self, rhs: Reference) -> Option<Reference> {
+        let num = self
+            .num
+            .checked_mul(rhs.den)?
+            .checked_add(rhs.num.checked_mul(self.den)?)?;
+        Reference::in_range(num, self.den.checked_mul(rhs.den)?)
+    }
+
+    /// The product, or `None` where a naive intermediate leaves `i128`.
+    fn checked_mul(self, rhs: Reference) -> Option<Reference> {
+        Reference::in_range(
+            self.num.checked_mul(rhs.num)?,
+            self.den.checked_mul(rhs.den)?,
+        )
+    }
+
+    fn in_range(num: i128, den: i128) -> Option<Reference> {
+        (num != i128::MIN && den != i128::MIN).then(|| Reference::new(num, den))
+    }
+
+    /// The ordering, or `None` where a cross product leaves `i128`.
+    fn checked_cmp(self, rhs: Reference) -> Option<Ordering> {
+        Some(
+            self.num
+                .checked_mul(rhs.den)?
+                .cmp(&rhs.num.checked_mul(self.den)?),
+        )
+    }
+
     fn add(self, rhs: Reference) -> Reference {
-        Reference::new(self.num * rhs.den + rhs.num * self.den, self.den * rhs.den)
+        self.checked_add(rhs).expect("reference overflow")
     }
 
     fn mul(self, rhs: Reference) -> Reference {
-        Reference::new(self.num * rhs.num, self.den * rhs.den)
+        self.checked_mul(rhs).expect("reference overflow")
     }
 
     fn cmp(self, rhs: Reference) -> Ordering {
-        (self.num * rhs.den).cmp(&(rhs.num * self.den))
+        self.checked_cmp(rhs).expect("reference overflow")
     }
 
     fn matches(self, r: Rational) -> bool {
@@ -77,6 +117,32 @@ fn arb_smooth() -> impl Strategy<Value = Rational> {
             let den = (1i128 << a) * 3i128.pow(b) * 5i128.pow(c) * 7i128.pow(d);
             Rational::new(n, den)
         })
+}
+
+/// A magnitude at or near the lane boundary: small, just around `2^31`,
+/// `2^32`, `2^62`, `2^63` (the edge of `i64`) and `2^64` (the edge of
+/// `u64`), or just above `2^64`.
+fn arb_edge_magnitude() -> impl Strategy<Value = i128> {
+    (0u32..8, -3i128..4, 1i128..1_000).prop_map(|(anchor, offset, small)| match anchor {
+        0 => small,
+        1 => (1 << 31) + offset,
+        2 => (1 << 32) + offset,
+        3 => (1 << 62) + offset,
+        4 => (1 << 63) + offset,
+        5 => (1 << 64) + offset,
+        6 => (1 << 64) + small,
+        _ => (1 << 65) + offset,
+    })
+}
+
+/// Values straddling the lane boundary, `i64::MIN` included: numerator and
+/// denominator each drawn from [`arb_edge_magnitude`].
+fn arb_edge() -> impl Strategy<Value = Rational> {
+    (arb_edge_magnitude(), arb_edge_magnitude(), 0u32..3).prop_map(|(n, d, sign)| match sign {
+        0 => Rational::new(n, d),
+        1 => Rational::new(-n, d),
+        _ => Rational::new(i128::from(i64::MIN), d),
+    })
 }
 
 /// Values spanning the full wire-format bounds; only comparisons are exact
@@ -129,6 +195,63 @@ proptest! {
     }
 
     #[test]
+    fn new_matches_reference_at_lane_edges(
+        n in arb_edge_magnitude(),
+        d in arb_edge_magnitude(),
+        negative in 0u32..2,
+    ) {
+        let n = if negative == 1 { -n } else { n };
+        let expected = Reference::new(n, d);
+        prop_assert!(expected.matches(Rational::new(n, d)));
+        prop_assert!(Reference::new(-n, -d).matches(Rational::new(-n, -d)));
+    }
+
+    #[test]
+    fn gcd_matches_euclid_at_lane_edges(a in arb_edge_magnitude(), b in arb_edge_magnitude()) {
+        let expected = euclid(a as u128, b as u128) as i128;
+        prop_assert_eq!(gcd(a, b), expected);
+        prop_assert_eq!(gcd(b, a), expected);
+        prop_assert_eq!(gcd(a, 0), a);
+        prop_assert_eq!(gcd(0, b), b);
+    }
+
+    #[test]
+    fn arithmetic_matches_reference_at_lane_edges(a in arb_edge(), b in arb_edge()) {
+        // Wherever the naive reference stays inside `i128`, the lanes (whose
+        // intermediates are never larger) must agree with it exactly.
+        let (ra, rb) = (Reference::of(a), Reference::of(b));
+        if let Some(expected) = ra.checked_add(rb) {
+            prop_assert!(expected.matches(a + b));
+        }
+        if let Some(expected) = ra.checked_add(Reference::new(-rb.num, rb.den)) {
+            prop_assert!(expected.matches(a - b));
+        }
+        if let Some(expected) = ra.checked_mul(rb) {
+            prop_assert!(expected.matches(a * b));
+        }
+        if let Some(expected) = ra.checked_mul(Reference::new(rb.den, rb.num)) {
+            prop_assert!(expected.matches(a / b));
+        }
+        if let Some(expected) = ra.checked_cmp(rb) {
+            prop_assert_eq!(a.cmp(&b), expected);
+            prop_assert_eq!(b.cmp(&a), expected.reverse());
+        }
+        if let Some(den) = ra.den.checked_mul(2) {
+            prop_assert!(Reference::new(ra.num, den).matches(a.half()));
+        }
+    }
+
+    #[test]
+    fn integer_plus_fraction_at_lane_edges(a in arb_edge(), k in arb_edge_magnitude(), negative in 0u32..2) {
+        let k = if negative == 1 { -k } else { k };
+        let int = Rational::from_int(k);
+        if let Some(expected) = Reference::of(a).checked_add(Reference::new(k, 1)) {
+            prop_assert!(expected.matches(a + int));
+            prop_assert!(expected.matches(int + a));
+        }
+    }
+
+    #[test]
     fn half_matches_division(a in arb_moderate()) {
         prop_assert_eq!(a.half(), a / Rational::from_int(2));
         prop_assert_eq!(a.half() + a.half(), a);
@@ -171,6 +294,29 @@ proptest! {
         }
         prop_assert_eq!(raw.reduce(), reference);
     }
+}
+
+#[test]
+fn lane_boundary_values() {
+    let word = 1i128 << 64;
+    let min = i128::from(i64::MIN);
+    // `i64::MIN` reduces in the word lane (its magnitude is 2^63).
+    assert_eq!(Rational::new(min, 4), Rational::new(-(1 << 61), 1));
+    assert_eq!(Rational::new(min, 3).denom(), 3);
+    assert_eq!(Rational::new(-min, -6), Rational::new(-(1 << 62), 3));
+    // Just above 2^64 falls to the wide lane and still reduces.
+    assert_eq!(Rational::new(word + 2, 6), Rational::new((word + 2) / 2, 3));
+    assert_eq!(Rational::new(6, word + 2), Rational::new(3, (word + 2) / 2));
+    assert_eq!(Rational::new(word, word * 3), Rational::new(1, 3));
+    // Mixed lanes in one operation.
+    let a = Rational::new(min, 7);
+    let b = Rational::new(word + 1, 3);
+    assert_eq!(a.cmp(&b), Ordering::Less);
+    assert_eq!(b.cmp(&a), Ordering::Greater);
+    assert_eq!(a + b, Rational::new(3 * min + 7 * (word + 1), 21));
+    assert_eq!(a.half() * b, Rational::new(min / 2 * (word + 1), 21));
+    assert_eq!(b / a, Rational::new((word + 1) * 7, min * 3));
+    assert_eq!(a.half(), Rational::new(min / 2, 7));
 }
 
 #[test]

@@ -34,7 +34,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use bss_core::{solve, solve_warm, Algorithm, SolveBudget, WarmStart};
+use bss_core::{solve_warm_with, solve_with, Algorithm, DualWorkspace, SolveBudget, WarmStart};
 use bss_instance::{IncrementalInstance, Variant};
 use bss_json::frame::{read_frame, write_frame, FrameError};
 use bss_json::ParseLimits;
@@ -278,6 +278,9 @@ struct SessionState {
     /// The last resolve's warm hint and the total load it was taken at
     /// (the load delta since then drives the bracket widening).
     prev: Option<(WarmStart, u64)>,
+    /// Probe and builder buffers shared by the session's resolves, so a
+    /// warm re-solve allocates nothing beyond its result after the first.
+    ws: DualWorkspace,
 }
 
 /// Serves one connection: frames in, frames out. The loop is strictly
@@ -466,6 +469,7 @@ fn open_session(req: SessionRequest, session: &mut Option<SessionState>) -> Resp
         variant: req.variant,
         algo: req.algo,
         prev: None,
+        ws: DualWorkspace::new(),
     });
     resp
 }
@@ -534,9 +538,9 @@ fn resolve_session(
                 u128::from(load),
                 instance.machines(),
             );
-            solve_warm(&instance, state.variant, state.algo, &hint).0
+            solve_warm_with(&mut state.ws, &instance, state.variant, state.algo, &hint).0
         }
-        None => solve(&instance, state.variant, state.algo),
+        None => solve_with(&mut state.ws, &instance, state.variant, state.algo),
     };
     shared.solved.fetch_add(1, Ordering::Relaxed);
     let sol = Arc::new(sol);

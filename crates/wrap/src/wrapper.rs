@@ -238,7 +238,8 @@ impl<'a, E: WrapEmit> Wrapper<'a, E> {
     }
 
     fn place_setup(&mut self, class: ClassId, len: Rational) -> Result<(), WrapError> {
-        if self.t + len > self.gap_b() {
+        let end = self.t + len;
+        if end > self.gap_b() {
             // Crossing setup: move it below the next gap.
             if !self.advance() {
                 return Err(WrapError::OutOfSpace { unplaced: len });
@@ -250,7 +251,7 @@ impl<'a, E: WrapEmit> Wrapper<'a, E> {
                 len,
                 kind: ItemKind::Setup(class),
             });
-            self.t += len;
+            self.t = end;
             self.configured = Some(class);
         }
         Ok(())
@@ -263,16 +264,21 @@ impl<'a, E: WrapEmit> Wrapper<'a, E> {
             if self.configured != Some(class) {
                 self.setup_below(class)?;
             }
-            let avail = self.gap_b() - self.t;
-            if remaining <= avail {
+            // Fit test on the end point: `t + remaining` adds an integer job
+            // length to a gap position without a gcd, where `gap_b - t`
+            // would reduce a fraction on every item. `avail` is formed only
+            // when the piece splits.
+            let end = self.t + remaining;
+            if end <= self.gap_b() {
                 self.push(ConfigItem {
                     start: self.t,
                     len: remaining,
                     kind: ItemKind::Piece { job, class },
                 });
-                self.t += remaining;
+                self.t = end;
                 return Ok(());
             }
+            let avail = self.gap_b() - self.t;
             if avail.is_positive() {
                 self.push(ConfigItem {
                     start: self.t,
