@@ -2,7 +2,7 @@
 //!
 //! Groups:
 //! * `par_epsilon_search` — one ε-search-dominated solve at thread counts
-//!   {1, 2, 4, 8} through `solve_par_with`; bit-identical answers, so any
+//!   {1, 2, 4, 8} through `solve_with_config`; bit-identical answers, so any
 //!   delta is pure wall-clock.
 //! * `par_batch` — `SolvePool::solve_batch` throughput over a 64-instance
 //!   batch at the same thread counts (warm per-worker workspaces).
@@ -12,17 +12,15 @@
 //! Wall-clock speedups require physical cores; on a single-core runner the
 //! numbers collapse to ≈1×. The *deterministic* critical-path model —
 //! committed bisection levels per speculative round, reported by
-//! `ParSearchStats` and printed by this binary — is machine-independent:
+//! `SearchStats` and printed by this binary — is machine-independent:
 //! `probes / rounds` is the parallel search's model speedup, which the
 //! multi-core section of `results/BASELINES.md` records alongside honest
 //! measured walls.
 
 use criterion::{black_box, criterion_group, BenchmarkId, Criterion};
 
-use bss_budget::SolveBudget;
-use bss_core::{
-    epsilon_search_between_par_stats, solve_par_with, Algorithm, BssProblem, DualWorkspace, Problem,
-};
+use bss_core::search::epsilon_search_between;
+use bss_core::{solve_with_config, Algorithm, BssProblem, DualWorkspace, Problem, SolveConfig};
 use bss_instance::Variant;
 use bss_par::SolvePool;
 use bss_seqdep::reduce;
@@ -44,13 +42,12 @@ fn par_epsilon_search(c: &mut Criterion) {
             &threads,
             |b, &threads| {
                 b.iter(|| {
-                    black_box(solve_par_with(
-                        &mut ws,
-                        &inst,
-                        Variant::NonPreemptive,
-                        algo,
+                    let cfg = SolveConfig {
+                        workspace: Some(&mut ws),
                         threads,
-                    ))
+                        ..SolveConfig::default()
+                    };
+                    black_box(solve_with_config(&inst, Variant::NonPreemptive, algo, cfg))
                 })
             },
         );
@@ -63,16 +60,16 @@ fn par_epsilon_search(c: &mut Criterion) {
     let gap = t_min / (1u64 << 10);
     for threads in THREADS {
         let mut ws = DualWorkspace::new();
-        let (probe, stats) = epsilon_search_between_par_stats(
-            t_min,
-            problem.search_hi(),
-            gap,
+        let cfg = SolveConfig {
+            workspace: Some(&mut ws),
             threads,
-            &SolveBudget::unlimited(),
-            &mut ws,
-            |w, t| problem.probe(w, t),
-        );
-        let probes = probe.outcome.probes;
+            ..SolveConfig::default()
+        };
+        let (probe, stats) =
+            epsilon_search_between(t_min, problem.search_hi(), gap, cfg, |w, t| {
+                problem.probe(w, t)
+            });
+        let probes = probe.probes;
         // threads=1 is the sequential search (no rounds); its model speedup
         // is 1x by definition.
         let model = if threads <= 1 {

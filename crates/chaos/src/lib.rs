@@ -85,8 +85,16 @@ pub fn gate_seqdep_instances(seed: u64) -> Vec<(String, SeqDepInstance)> {
 #[must_use]
 pub fn bss_checkpoints(inst: &Instance, variant: Variant, algo: Algorithm) -> u64 {
     let budget = SolveBudget::unlimited();
-    let sol = bss_core::solve_budgeted(inst, variant, algo, &budget)
-        .expect("unlimited dry run cannot fail");
+    let sol = bss_core::solve_with_config(
+        inst,
+        variant,
+        algo,
+        bss_core::SolveConfig {
+            budget: Some(&budget),
+            ..bss_core::SolveConfig::default()
+        },
+    )
+    .expect("unlimited dry run cannot fail");
     assert_eq!(sol.completion, Completion::Full);
     budget.checkpoints()
 }
@@ -98,8 +106,15 @@ pub fn bss_checkpoints(inst: &Instance, variant: Variant, algo: Algorithm) -> u6
 #[must_use]
 pub fn seqdep_checkpoints(sd: &SeqDepInstance, algo: Algorithm) -> u64 {
     let budget = SolveBudget::unlimited();
-    let sol =
-        bss_core::solve_seqdep_budgeted(sd, algo, &budget).expect("unlimited dry run cannot fail");
+    let sol = bss_core::solve_seqdep_with_config(
+        sd,
+        algo,
+        bss_core::SolveConfig {
+            budget: Some(&budget),
+            ..bss_core::SolveConfig::default()
+        },
+    )
+    .expect("unlimited dry run cannot fail");
     assert_eq!(sol.completion, Completion::Full);
     budget.checkpoints()
 }

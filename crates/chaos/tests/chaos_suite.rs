@@ -15,8 +15,8 @@ use bss_chaos::{
     sweep_indices, ALGORITHMS,
 };
 use bss_core::{
-    solve, solve_budgeted, solve_budgeted_with, solve_seqdep, solve_seqdep_budgeted, solve_with,
-    CancelToken, Completion, DualWorkspace, SolveError,
+    solve, solve_seqdep, solve_seqdep_with_config, solve_with, solve_with_config, CancelToken,
+    Completion, DualWorkspace, SolveConfig, SolveError,
 };
 use bss_instance::Variant;
 
@@ -43,7 +43,7 @@ fn unlimited_budget_is_bit_identical_to_plain_solve() {
                 for algo in ALGORITHMS {
                     let label = format!("{name}/{variant}/{algo:?}");
                     let plain = solve(&inst, variant, algo);
-                    let budgeted = solve_budgeted(&inst, variant, algo, &SolveBudget::unlimited())
+                    let budgeted = solve_with_config(&inst, variant, algo, SolveConfig::default())
                         .expect("unlimited budget cannot fail");
                     assert_eq!(budgeted.completion, Completion::Full, "{label}");
                     assert_bit_identical(&label, &budgeted, &plain);
@@ -54,7 +54,7 @@ fn unlimited_budget_is_bit_identical_to_plain_solve() {
             for algo in ALGORITHMS {
                 let label = format!("{name}/{algo:?}");
                 let plain = solve_seqdep(&sd, algo);
-                let budgeted = solve_seqdep_budgeted(&sd, algo, &SolveBudget::unlimited())
+                let budgeted = solve_seqdep_with_config(&sd, algo, SolveConfig::default())
                     .expect("unlimited budget cannot fail");
                 assert_eq!(budgeted.completion, Completion::Full, "{label}");
                 assert_bit_identical(&label, &budgeted, &plain);
@@ -77,8 +77,16 @@ fn injected_cancel_at_swept_checkpoints_degrades_gracefully() {
                             at: k,
                             fault: Fault::Cancel,
                         });
-                        let sol = solve_budgeted(&inst, variant, algo, &budget)
-                            .expect("cancellation is not an error");
+                        let sol = solve_with_config(
+                            &inst,
+                            variant,
+                            algo,
+                            SolveConfig {
+                                budget: Some(&budget),
+                                ..SolveConfig::default()
+                            },
+                        )
+                        .expect("cancellation is not an error");
                         assert_eq!(sol.completion, Completion::Cancelled, "{label}");
                         assert_anytime_bss(&label, &inst, variant, &sol, opt);
                     }
@@ -102,8 +110,16 @@ fn injected_deadline_at_swept_checkpoints_degrades_gracefully() {
                             at: k,
                             fault: Fault::DeadlineExpiry,
                         });
-                        let sol = solve_budgeted(&inst, variant, algo, &budget)
-                            .expect("deadline expiry is not an error");
+                        let sol = solve_with_config(
+                            &inst,
+                            variant,
+                            algo,
+                            SolveConfig {
+                                budget: Some(&budget),
+                                ..SolveConfig::default()
+                            },
+                        )
+                        .expect("deadline expiry is not an error");
                         assert_eq!(
                             sol.completion,
                             Completion::Degraded(Interrupt::Deadline),
@@ -131,8 +147,16 @@ fn work_starvation_at_every_level_degrades_gracefully() {
                     for w in levels {
                         let label = format!("{name}/{variant}/{algo:?}/work={w}");
                         let budget = SolveBudget::unlimited().with_work_limit(w);
-                        let sol = solve_budgeted(&inst, variant, algo, &budget)
-                            .expect("starvation is not an error");
+                        let sol = solve_with_config(
+                            &inst,
+                            variant,
+                            algo,
+                            SolveConfig {
+                                budget: Some(&budget),
+                                ..SolveConfig::default()
+                            },
+                        )
+                        .expect("starvation is not an error");
                         if w > total {
                             // Budget to spare: completes fully and matches
                             // the plain solve bit for bit.
@@ -185,8 +209,17 @@ fn injected_panic_is_isolated_and_workspace_heals() {
                                 at: k,
                                 fault: Fault::Panic,
                             });
-                            let err = solve_budgeted_with(&mut ws, &inst, variant, algo, &budget)
-                                .expect_err("injected panic must surface as an error");
+                            let err = solve_with_config(
+                                &inst,
+                                variant,
+                                algo,
+                                SolveConfig {
+                                    workspace: Some(&mut ws),
+                                    budget: Some(&budget),
+                                    ..SolveConfig::default()
+                                },
+                            )
+                            .expect_err("injected panic must surface as an error");
                             match &err {
                                 SolveError::Panicked { message } => assert!(
                                     message.contains("injected panic"),
@@ -225,8 +258,15 @@ fn seqdep_faults_at_swept_checkpoints_degrade_gracefully() {
                         let label = format!("{name}/{algo:?}/{fault:?}@{k}");
                         let budget =
                             SolveBudget::unlimited().with_fault(FaultPlan { at: k, fault });
-                        let sol = solve_seqdep_budgeted(&sd, algo, &budget)
-                            .expect("interruption is not an error");
+                        let sol = solve_seqdep_with_config(
+                            &sd,
+                            algo,
+                            SolveConfig {
+                                budget: Some(&budget),
+                                ..SolveConfig::default()
+                            },
+                        )
+                        .expect("interruption is not an error");
                         assert_eq!(sol.completion, expect, "{label}");
                         assert_anytime_seqdep(&label, &sd, &sol, opt);
                     }
@@ -235,8 +275,15 @@ fn seqdep_faults_at_swept_checkpoints_degrade_gracefully() {
                 for w in [0, 1, total / 2] {
                     let label = format!("{name}/{algo:?}/work={w}");
                     let budget = SolveBudget::unlimited().with_work_limit(w);
-                    let sol = solve_seqdep_budgeted(&sd, algo, &budget)
-                        .expect("starvation is not an error");
+                    let sol = solve_seqdep_with_config(
+                        &sd,
+                        algo,
+                        SolveConfig {
+                            budget: Some(&budget),
+                            ..SolveConfig::default()
+                        },
+                    )
+                    .expect("starvation is not an error");
                     assert_anytime_seqdep(&label, &sd, &sol, opt);
                 }
             }
@@ -256,8 +303,15 @@ fn seqdep_injected_panic_is_isolated() {
                         at: k,
                         fault: Fault::Panic,
                     });
-                    let err = solve_seqdep_budgeted(&sd, algo, &budget)
-                        .expect_err("injected panic must surface as an error");
+                    let err = solve_seqdep_with_config(
+                        &sd,
+                        algo,
+                        SolveConfig {
+                            budget: Some(&budget),
+                            ..SolveConfig::default()
+                        },
+                    )
+                    .expect_err("injected panic must surface as an error");
                     assert!(
                         matches!(&err, SolveError::Panicked { message } if message.contains("injected panic")),
                         "{label}: unexpected error {err:?}"
@@ -278,8 +332,16 @@ fn pre_cancelled_token_still_returns_a_valid_fallback() {
             for algo in ALGORITHMS {
                 let label = format!("{name}/{variant}/{algo:?}/pre-cancelled");
                 let budget = SolveBudget::unlimited().with_cancel(&token);
-                let sol = solve_budgeted(&inst, variant, algo, &budget)
-                    .expect("cancellation is not an error");
+                let sol = solve_with_config(
+                    &inst,
+                    variant,
+                    algo,
+                    SolveConfig {
+                        budget: Some(&budget),
+                        ..SolveConfig::default()
+                    },
+                )
+                .expect("cancellation is not an error");
                 assert_eq!(sol.completion, Completion::Cancelled, "{label}");
                 assert_anytime_bss(&label, &inst, variant, &sol, opt);
             }

@@ -1,11 +1,14 @@
 //! The high-level solver API.
 //!
-//! Since the unified-surface refactor the entry points here are thin: the
-//! [`solve`] family wraps the instance in a [`BssProblem`](crate::BssProblem)
-//! and hands it to the variant-generic driver
-//! [`solve_problem`](crate::solve_problem). [`Algorithm`], [`ScheduleRepr`]
-//! and [`Solution`] are shared by *every* problem on that surface
-//! (sequence-dependent instances included) rather than duplicated per model.
+//! The entry points here are thin: they wrap the instance in a
+//! [`BssProblem`](crate::BssProblem) and hand it to the variant-generic
+//! driver of [`solve_problem`](crate::solve_problem). [`solve`],
+//! [`solve_with`] and [`solve_warm`] are the plain forms; every other
+//! setting — workspace, budget, threads, warm hint and trace — is a field of
+//! one [`SolveConfig`], taken by [`solve_with_config`]. [`Algorithm`],
+//! [`ScheduleRepr`] and [`Solution`] are shared by *every* problem on that
+//! surface (sequence-dependent instances included) rather than duplicated
+//! per model.
 
 use core::fmt;
 use std::sync::OnceLock;
@@ -15,11 +18,8 @@ use bss_instance::{Instance, Variant};
 use bss_rational::Rational;
 use bss_schedule::{CompactSchedule, Schedule};
 
-use crate::problem::{
-    solve_problem, solve_problem_budgeted, solve_problem_par, solve_problem_par_budgeted,
-    BssProblem, Problem,
-};
-use crate::search::{epsilon_search_between_warm, WarmStats};
+use crate::problem::{dispatch, solve_problem, solve_problem_with_config, BssProblem};
+use crate::search::{Ladder, WarmStats};
 use crate::workspace::DualWorkspace;
 use crate::Trace;
 
@@ -105,9 +105,10 @@ impl fmt::Display for Completion {
     }
 }
 
-/// A solver failure isolated at the API boundary — the budgeted entry
-/// points catch panics (`catch_unwind`), reset the workspace, and return
-/// this typed error instead of unwinding into the caller.
+/// A solver failure isolated at the API boundary — the configured entry
+/// points ([`solve_with_config`] and its per-model twins) catch panics
+/// (`catch_unwind`), reset the workspace, and return this typed error
+/// instead of unwinding into the caller.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SolveError {
     /// Exact rational arithmetic left `i128` headroom (astronomically
@@ -246,7 +247,7 @@ impl Solution {
 /// `makespan <= ratio_bound · OPT`.
 #[must_use]
 pub fn solve(inst: &Instance, variant: Variant, algo: Algorithm) -> Solution {
-    solve_traced(inst, variant, algo, &mut Trace::disabled())
+    solve_with(&mut DualWorkspace::new(), inst, variant, algo)
 }
 
 /// [`solve`] on a reusable [`DualWorkspace`]: all probe and builder buffers
@@ -260,30 +261,109 @@ pub fn solve_with(
     variant: Variant,
     algo: Algorithm,
 ) -> Solution {
-    solve_traced_with(ws, inst, variant, algo, &mut Trace::disabled())
+    solve_problem(
+        ws,
+        &BssProblem::new(inst, variant),
+        algo,
+        &mut Trace::disabled(),
+    )
 }
 
-/// [`solve`] with step tracing (used by the figure-regeneration harness).
-#[must_use]
-pub fn solve_traced(
+/// Everything a solve can be set up with besides the instance and the
+/// algorithm. Every field defaults to "off", and
+/// `SolveConfig::default()` is the plain [`solve`]; set fields with struct
+/// update syntax:
+///
+/// ```
+/// # use bss_core::{solve_with_config, Algorithm, DualWorkspace, SolveBudget, SolveConfig};
+/// # let inst = bss_gen::uniform(40, 6, 3, 1);
+/// let mut ws = DualWorkspace::new();
+/// let budget = SolveBudget::unlimited().with_work_limit(5);
+/// let sol = solve_with_config(
+///     &inst,
+///     bss_instance::Variant::Preemptive,
+///     Algorithm::EpsilonSearch { eps_log2: 8 },
+///     SolveConfig {
+///         workspace: Some(&mut ws),
+///         budget: Some(&budget),
+///         threads: 2,
+///         ..SolveConfig::default()
+///     },
+/// )
+/// .expect("budgets degrade, they do not fail");
+/// assert!(sol.makespan <= sol.ratio_bound * sol.accepted);
+/// ```
+#[derive(Debug, Default)]
+pub struct SolveConfig<'a> {
+    /// Reusable probe and builder buffers (see [`solve_with`]); `None`
+    /// allocates a fresh workspace for the call.
+    pub workspace: Option<&'a mut DualWorkspace>,
+    /// Deadline, work limit and cancellation; `None` runs unlimited. An
+    /// interrupted solve degrades instead of failing (see [`Completion`]).
+    pub budget: Option<&'a SolveBudget>,
+    /// Threads of speculative probing on the bisection ladders (see
+    /// [`crate::par`]); `0` and `1` both run sequentially. A pure
+    /// performance knob: results, probe counts and work-limit interruption
+    /// points are bit-identical at every count.
+    pub threads: usize,
+    /// A previous solve's bracket: the ε-search replays its cold bisection
+    /// through a monotonicity memo (see [`solve_warm`]); the other
+    /// algorithms run cold. A warm ladder runs sequentially whatever
+    /// `threads` says.
+    pub warm: Option<WarmStart>,
+    /// Step snapshots of the builders (the figure harness); `None` records
+    /// nothing.
+    pub trace: Option<&'a mut Trace>,
+}
+
+impl SolveConfig<'_> {
+    /// Fills in the defaults and hands the workspace, the ladder settings
+    /// and the trace to `f`.
+    pub(crate) fn unpack<R>(
+        self,
+        f: impl FnOnce(&mut DualWorkspace, Ladder<'_>, &mut Trace) -> R,
+    ) -> R {
+        let unlimited = SolveBudget::unlimited();
+        let mut fresh = None;
+        let mut off = Trace::disabled();
+        let ws = match self.workspace {
+            Some(ws) => ws,
+            None => fresh.insert(DualWorkspace::new()),
+        };
+        let ladder = Ladder {
+            budget: self.budget.unwrap_or(&unlimited),
+            threads: self.threads,
+            warm: self.warm,
+        };
+        f(ws, ladder, self.trace.unwrap_or(&mut off))
+    }
+}
+
+/// [`solve`] under every setting of `cfg`, at the safe API boundary: the
+/// anytime, parallel and warm entry point.
+///
+/// On deadline expiry, work-budget exhaustion or cancellation the solve
+/// *degrades instead of failing* — the returned [`Solution`] carries the
+/// best certified schedule held at the interrupt (tagged by
+/// [`Solution::completion`]) with an honestly widened
+/// [`Solution::ratio_bound`]. Solver panics are isolated into a typed
+/// [`SolveError`]; a caller's workspace is reset and safe to reuse (guarded
+/// by the poisoning regression suite). Under an unlimited budget the result
+/// is bit-identical to [`solve`] at every thread count, and a warm hint
+/// changes only [`Solution::probes`] — see
+/// [`solve_problem_with_config`](crate::solve_problem_with_config) for the
+/// full contract.
+///
+/// # Errors
+/// [`SolveError`] when the solver panicked (a bug or an injected chaos
+/// fault) — never because a budget expired.
+pub fn solve_with_config(
     inst: &Instance,
     variant: Variant,
     algo: Algorithm,
-    trace: &mut Trace,
-) -> Solution {
-    solve_traced_with(&mut DualWorkspace::new(), inst, variant, algo, trace)
-}
-
-/// [`solve_traced`] on a reusable [`DualWorkspace`].
-#[must_use]
-pub fn solve_traced_with(
-    ws: &mut DualWorkspace,
-    inst: &Instance,
-    variant: Variant,
-    algo: Algorithm,
-    trace: &mut Trace,
-) -> Solution {
-    solve_problem(ws, &BssProblem::new(inst, variant), algo, trace)
+    cfg: SolveConfig<'_>,
+) -> Result<Solution, SolveError> {
+    solve_problem_with_config(&BssProblem::new(inst, variant), algo, cfg)
 }
 
 /// A previous solve's accepted dual bracket, seeding a warm-start re-solve
@@ -348,14 +428,15 @@ impl WarmStart {
 ///
 /// For [`Algorithm::EpsilonSearch`] the epsilon search replays its exact
 /// cold bisection through a monotonicity memo seeded at the hint points
-/// (see [`crate::search::epsilon_search_between_warm`]), so the returned
-/// [`Solution`] is **bit-identical** to [`solve`] on the same instance in
-/// every field except [`Solution::probes`], which counts only the dual
-/// tests genuinely evaluated — the probe savings are the point, and the
-/// returned [`WarmStats`] itemizes them. Algorithms without a warm form
+/// (see [`crate::search`]), so the returned [`Solution`] is
+/// **bit-identical** to [`solve`] on the same instance in every field
+/// except [`Solution::probes`], which counts only the dual tests genuinely
+/// evaluated — the probe savings are the point, and the returned
+/// [`WarmStats`] itemizes them. Algorithms without a warm form
 /// ([`Algorithm::TwoApprox`], [`Algorithm::ThreeHalves`],
-/// [`Algorithm::Portfolio`]) delegate to the cold solve unchanged and
-/// report `WarmStats { warmed: false, .. }`.
+/// [`Algorithm::Portfolio`]) run the cold solve unchanged and report
+/// `WarmStats { warmed: false, .. }`. [`SolveConfig::warm`] is the same
+/// re-solve with every other setting.
 #[must_use]
 pub fn solve_warm(
     inst: &Instance,
@@ -363,177 +444,17 @@ pub fn solve_warm(
     algo: Algorithm,
     warm: &WarmStart,
 ) -> (Solution, WarmStats) {
-    solve_warm_with(&mut DualWorkspace::new(), inst, variant, algo, warm)
-}
-
-/// [`solve_warm`] on a reusable [`DualWorkspace`].
-#[must_use]
-pub fn solve_warm_with(
-    ws: &mut DualWorkspace,
-    inst: &Instance,
-    variant: Variant,
-    algo: Algorithm,
-    warm: &WarmStart,
-) -> (Solution, WarmStats) {
-    let Algorithm::EpsilonSearch { eps_log2 } = algo else {
-        return (solve_with(ws, inst, variant, algo), WarmStats::default());
+    let ladder = Ladder {
+        budget: &SolveBudget::unlimited(),
+        threads: 1,
+        warm: Some(*warm),
     };
     let problem = BssProblem::new(inst, variant);
-    let t_min = problem.t_min();
-    let eps = Rational::new(1, 1 << eps_log2.min(60));
-    let (hint_lo, hint_hi) = warm.hint();
-    let (out, stats) = epsilon_search_between_warm(
-        t_min,
-        problem.search_hi(),
-        eps * t_min,
-        hint_lo,
-        hint_hi,
-        |t| problem.probe(ws, t),
-    );
-    // Mirror the cold driver's build-at-accepted flow, defensive-rejection
-    // fallback included, so warm and cold schedules cannot diverge.
-    let trace = &mut Trace::disabled();
-    let (accepted, repr) = match problem.build(ws, out.accepted, trace) {
-        Some(r) => (out.accepted, r),
-        None => {
-            let hi = problem.t_safe();
-            (
-                hi,
-                problem
-                    .build(ws, hi, trace)
-                    .expect("t_safe is accepted and builds"),
-            )
-        }
-    };
-    let cert = out.rejected.unwrap_or(t_min).max(t_min);
-    let sol = finish(
-        repr,
-        accepted,
-        problem.dual_ratio() * (eps + 1u64),
-        cert,
-        out.probes,
-    );
-    (sol, stats)
-}
-
-/// [`solve`] under a cooperative [`SolveBudget`]: the anytime entry point.
-///
-/// On deadline expiry, work-budget exhaustion or cancellation the solve
-/// *degrades instead of failing* — the returned [`Solution`] carries the
-/// best certified schedule held at the interrupt (tagged by
-/// [`Solution::completion`]) with an honestly widened
-/// [`Solution::ratio_bound`]. Solver panics are isolated at this boundary
-/// into a typed [`SolveError`]; the transient workspace is discarded either
-/// way.
-///
-/// Under [`SolveBudget::unlimited`] the result is bit-identical to
-/// [`solve`].
-///
-/// # Errors
-/// [`SolveError`] when the solver panicked (a bug or an injected chaos
-/// fault) — never because a budget expired.
-pub fn solve_budgeted(
-    inst: &Instance,
-    variant: Variant,
-    algo: Algorithm,
-    budget: &SolveBudget,
-) -> Result<Solution, SolveError> {
-    solve_budgeted_with(&mut DualWorkspace::new(), inst, variant, algo, budget)
-}
-
-/// [`solve_budgeted`] on a reusable [`DualWorkspace`]. After an error the
-/// workspace has been epoch-reset and is safe to reuse (guarded by the
-/// poisoning regression suite).
-///
-/// # Errors
-/// See [`solve_budgeted`].
-pub fn solve_budgeted_with(
-    ws: &mut DualWorkspace,
-    inst: &Instance,
-    variant: Variant,
-    algo: Algorithm,
-    budget: &SolveBudget,
-) -> Result<Solution, SolveError> {
-    solve_problem_budgeted(
-        ws,
-        &BssProblem::new(inst, variant),
-        algo,
-        budget,
-        &mut Trace::disabled(),
-    )
-}
-
-/// [`solve`] with `threads` threads of speculative parallelism on the probe
-/// ladders (see [`crate::par`]). Bit-identical to [`solve`] at every thread
-/// count — parallelism buys wall-clock, never different answers — so
-/// `threads` is a pure performance knob: `1` is the sequential solver,
-/// values above the instance's probe-ladder depth saturate.
-#[must_use]
-pub fn solve_par(inst: &Instance, variant: Variant, algo: Algorithm, threads: usize) -> Solution {
-    solve_par_with(&mut DualWorkspace::new(), inst, variant, algo, threads)
-}
-
-/// [`solve_par`] on a reusable [`DualWorkspace`] (the committed search path
-/// probes on `ws`; each speculative worker owns a transient workspace).
-#[must_use]
-pub fn solve_par_with(
-    ws: &mut DualWorkspace,
-    inst: &Instance,
-    variant: Variant,
-    algo: Algorithm,
-    threads: usize,
-) -> Solution {
-    solve_problem_par(
-        ws,
-        &BssProblem::new(inst, variant),
-        algo,
-        threads,
-        &mut Trace::disabled(),
-    )
-}
-
-/// [`solve_budgeted`] with speculative parallel probing: the committed
-/// search charges the budget in exactly the sequential order (worker
-/// threads poll without charging), so work-limit interruption points are
-/// deterministic and identical to the sequential solve.
-///
-/// # Errors
-/// See [`solve_budgeted`].
-pub fn solve_par_budgeted(
-    inst: &Instance,
-    variant: Variant,
-    algo: Algorithm,
-    threads: usize,
-    budget: &SolveBudget,
-) -> Result<Solution, SolveError> {
-    solve_par_budgeted_with(
+    dispatch(
         &mut DualWorkspace::new(),
-        inst,
-        variant,
+        &problem,
         algo,
-        threads,
-        budget,
-    )
-}
-
-/// [`solve_par_budgeted`] on a reusable [`DualWorkspace`].
-///
-/// # Errors
-/// See [`solve_budgeted`].
-pub fn solve_par_budgeted_with(
-    ws: &mut DualWorkspace,
-    inst: &Instance,
-    variant: Variant,
-    algo: Algorithm,
-    threads: usize,
-    budget: &SolveBudget,
-) -> Result<Solution, SolveError> {
-    solve_problem_par_budgeted(
-        ws,
-        &BssProblem::new(inst, variant),
-        algo,
-        threads,
-        budget,
+        ladder,
         &mut Trace::disabled(),
     )
 }
@@ -654,83 +575,89 @@ mod tests {
         }
     }
 
-    /// Warm-start re-solve after a one-job delta is bit-identical to the
-    /// cold solve on the same materialized instance in every field but
-    /// `probes` — and genuinely cheaper in probes across the matrix.
-    #[test]
-    fn warm_resolve_is_bit_identical_to_cold_with_fewer_probes() {
-        use bss_instance::{Delta, IncrementalInstance};
+    /// The warm-start re-solve ([`solve_warm`]).
+    mod warm {
+        use super::*;
+        use crate::WarmStats;
 
-        let algo = Algorithm::EpsilonSearch { eps_log2: 10 };
-        // (warm, cold) probe counts of the pairs where the cold search
-        // genuinely bisected — immediate-accept solves cost 1 probe cold
-        // and can never be beaten by a 2-seed warm start.
-        let mut searched_pairs = Vec::new();
-        for seed in 0..5 {
-            let base = bss_gen::uniform(200, 8, 5, seed);
-            let mut inc = IncrementalInstance::new(&base);
-            let old_load = u128::from(inc.total_load_once());
-            inc.apply(Delta::AddJob { class: 0, time: 17 }).unwrap();
-            let inst = inc.materialize();
-            for variant in Variant::ALL {
-                let prev = solve(&base, variant, algo);
-                let hint = WarmStart::of(&prev).widen_by_load_shift(
-                    old_load,
-                    u128::from(inc.total_load_once()),
-                    base.machines(),
-                );
-                let cold = solve(&inst, variant, algo);
-                let (warm, stats) = solve_warm(&inst, variant, algo, &hint);
-                assert!(stats.warmed);
-                assert_eq!(warm.makespan, cold.makespan, "{variant}");
-                assert_eq!(warm.accepted, cold.accepted, "{variant}");
-                assert_eq!(warm.ratio_bound, cold.ratio_bound, "{variant}");
-                assert_eq!(warm.certificate, cold.certificate, "{variant}");
-                assert_eq!(warm.completion, cold.completion, "{variant}");
-                assert_eq!(warm.schedule(), cold.schedule(), "{variant}");
-                assert_eq!(warm.probes, stats.probes, "{variant}");
-                assert!(
-                    stats.probes <= cold.probes + 2,
-                    "{variant}: warm ran {} probes, cold {}",
-                    stats.probes,
-                    cold.probes
-                );
-                if cold.probes >= 8 {
-                    searched_pairs.push((stats.probes, cold.probes));
+        /// Warm-start re-solve after a one-job delta is bit-identical to the
+        /// cold solve on the same materialized instance in every field but
+        /// `probes` — and genuinely cheaper in probes across the matrix.
+        #[test]
+        fn warm_resolve_is_bit_identical_to_cold_with_fewer_probes() {
+            use bss_instance::{Delta, IncrementalInstance};
+
+            let algo = Algorithm::EpsilonSearch { eps_log2: 10 };
+            // (warm, cold) probe counts of the pairs where the cold search
+            // genuinely bisected — immediate-accept solves cost 1 probe cold
+            // and can never be beaten by a 2-seed warm start.
+            let mut searched_pairs = Vec::new();
+            for seed in 0..5 {
+                let base = bss_gen::uniform(200, 8, 5, seed);
+                let mut inc = IncrementalInstance::new(&base);
+                let old_load = u128::from(inc.total_load_once());
+                inc.apply(Delta::AddJob { class: 0, time: 17 }).unwrap();
+                let inst = inc.materialize();
+                for variant in Variant::ALL {
+                    let prev = solve(&base, variant, algo);
+                    let hint = WarmStart::of(&prev).widen_by_load_shift(
+                        old_load,
+                        u128::from(inc.total_load_once()),
+                        base.machines(),
+                    );
+                    let cold = solve(&inst, variant, algo);
+                    let (warm, stats) = solve_warm(&inst, variant, algo, &hint);
+                    assert!(stats.warmed);
+                    assert_eq!(warm.makespan, cold.makespan, "{variant}");
+                    assert_eq!(warm.accepted, cold.accepted, "{variant}");
+                    assert_eq!(warm.ratio_bound, cold.ratio_bound, "{variant}");
+                    assert_eq!(warm.certificate, cold.certificate, "{variant}");
+                    assert_eq!(warm.completion, cold.completion, "{variant}");
+                    assert_eq!(warm.schedule(), cold.schedule(), "{variant}");
+                    assert_eq!(warm.probes, stats.probes, "{variant}");
+                    assert!(
+                        stats.probes <= cold.probes + 2,
+                        "{variant}: warm ran {} probes, cold {}",
+                        stats.probes,
+                        cold.probes
+                    );
+                    if cold.probes >= 8 {
+                        searched_pairs.push((stats.probes, cold.probes));
+                    }
                 }
             }
+            assert!(
+                !searched_pairs.is_empty(),
+                "the matrix must exercise at least one genuine bisection"
+            );
+            let warm_total: usize = searched_pairs.iter().map(|&(w, _)| w).sum();
+            let cold_total: usize = searched_pairs.iter().map(|&(_, c)| c).sum();
+            assert!(
+                warm_total * 2 < cold_total,
+                "one-job deltas should re-solve in well under half the cold probes \
+                 (warm {warm_total}, cold {cold_total}; pairs {searched_pairs:?})"
+            );
         }
-        assert!(
-            !searched_pairs.is_empty(),
-            "the matrix must exercise at least one genuine bisection"
-        );
-        let warm_total: usize = searched_pairs.iter().map(|&(w, _)| w).sum();
-        let cold_total: usize = searched_pairs.iter().map(|&(_, c)| c).sum();
-        assert!(
-            warm_total * 2 < cold_total,
-            "one-job deltas should re-solve in well under half the cold probes \
-             (warm {warm_total}, cold {cold_total}; pairs {searched_pairs:?})"
-        );
-    }
 
-    /// Algorithms without a warm form delegate to the cold solve unchanged.
-    #[test]
-    fn warm_solve_delegates_cold_for_direct_algorithms() {
-        let inst = bss_gen::uniform(40, 6, 3, 4);
-        let hint = WarmStart {
-            accepted: Rational::from(1_000_000u64),
-            certificate: Rational::ONE,
-            widen: Rational::ZERO,
-        };
-        for algo in [Algorithm::TwoApprox, Algorithm::ThreeHalves] {
-            for variant in Variant::ALL {
-                let cold = solve(&inst, variant, algo);
-                let (warm, stats) = solve_warm(&inst, variant, algo, &hint);
-                assert!(!stats.warmed);
-                assert_eq!(stats, WarmStats::default());
-                assert_eq!(warm.makespan, cold.makespan);
-                assert_eq!(warm.probes, cold.probes);
-                assert_eq!(warm.schedule(), cold.schedule());
+        /// Algorithms without a warm form delegate to the cold solve unchanged.
+        #[test]
+        fn warm_solve_delegates_cold_for_direct_algorithms() {
+            let inst = bss_gen::uniform(40, 6, 3, 4);
+            let hint = WarmStart {
+                accepted: Rational::from(1_000_000u64),
+                certificate: Rational::ONE,
+                widen: Rational::ZERO,
+            };
+            for algo in [Algorithm::TwoApprox, Algorithm::ThreeHalves] {
+                for variant in Variant::ALL {
+                    let cold = solve(&inst, variant, algo);
+                    let (warm, stats) = solve_warm(&inst, variant, algo, &hint);
+                    assert!(!stats.warmed);
+                    assert_eq!(stats, WarmStats::default());
+                    assert_eq!(warm.makespan, cold.makespan);
+                    assert_eq!(warm.probes, cold.probes);
+                    assert_eq!(warm.schedule(), cold.schedule());
+                }
             }
         }
     }

@@ -1,7 +1,8 @@
-//! Speculative parallel search drivers: the sequential bisections of
-//! [`crate::search`], executed as wavefronts of speculative probes on worker
-//! threads — **bit-identical** outcome and probe accounting to the
-//! sequential searches at every thread count.
+//! Speculative parallel probing: the probe ladder of [`crate::search`],
+//! answered by wavefronts of speculative probes on worker threads —
+//! **bit-identical** outcome and probe accounting to the sequential ladder
+//! at every thread count. Every solve takes it through
+//! [`SolveConfig::threads`](crate::SolveConfig::threads).
 //!
 //! # How determinism survives parallelism
 //!
@@ -20,11 +21,12 @@
 //!    path is dead (the sequential search can never reach it) and is
 //!    skipped at claim time; when the committed walk retires a wavefront
 //!    early, its [`CancelToken`] kills the remaining losers the same way.
-//! 3. **Commit.** The coordinator replays the *sequential* search verbatim
-//!    against the published results: it charges the [`SolveBudget`] in
-//!    exactly the sequential probe order, consumes each needed result (or
-//!    recomputes it inline on the caller's workspace when a worker had to
-//!    skip), and steps the master bracket. Only committed probes are
+//! 3. **Commit.** The coordinator walks the *sequential* ladder — the same
+//!    loop every search runs, with this engine as its oracle — against the
+//!    published results: it charges the [`SolveBudget`] in exactly the
+//!    sequential probe order, consumes each needed result (or recomputes it
+//!    inline on the caller's workspace when a worker had to skip), and
+//!    steps the master bracket. Only committed probes are
 //!    charged or counted — speculative work is free by construction, so
 //!    brackets, probe counts, interrupt points and even panic behaviour
 //!    match the sequential search bit for bit.
@@ -33,8 +35,8 @@
 //! `⌊log₂(k+1)⌋` committed bisection levels per probe round (plus one more
 //! whenever the committed path stays on the wavefront's deepest planned
 //! node), so an ε-search-dominated solve contracts from `L` sequential
-//! probe times to roughly `L / log₂(k+1)` rounds. [`ParSearchStats`]
-//! reports that critical path, machine-independently.
+//! probe times to roughly `L / log₂(k+1)` rounds. The `rounds` counter of
+//! [`SearchStats`] reports that critical path, machine-independently.
 //!
 //! Worker probe panics are *not* propagated eagerly: a speculative loser is
 //! a probe the sequential search never runs, so its panic must not surface.
@@ -47,105 +49,10 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-use bss_budget::{CancelToken, SolveBudget};
-use bss_rational::Rational;
+use bss_budget::{CancelToken, Interrupt, SolveBudget};
 
-use crate::search::{Bracket, BudgetedProbe, ProbeOutcome};
+use crate::search::{drive, Bisect, Ladder, Oracle, ProbeOutcome, SearchStats};
 use crate::workspace::DualWorkspace;
-
-/// Wavefront accounting of one parallel search — the deterministic
-/// critical-path metric the benches report (independent of how many cores
-/// the host actually has).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ParSearchStats {
-    /// Speculative wavefronts published (each costs one probe wall-time
-    /// when every worker has a core).
-    pub rounds: usize,
-    /// Speculative probe slots issued across all wavefronts (committed +
-    /// losers).
-    pub speculated: usize,
-    /// Probes the coordinator recomputed inline because a worker had to
-    /// skip the node (budget trip observed worker-side, or a caught panic).
-    pub inline: usize,
-}
-
-/// The sequential bisection state a wavefront is planned from — implemented
-/// by the rational ε-bracket and the Theorem-8 integer bracket, so one
-/// driver serves both searches.
-trait Bisect: Clone {
-    type Guess: Copy + PartialEq + Send + Sync + core::fmt::Debug;
-    fn is_wide(&self) -> bool;
-    /// The committed split: panics on overflow exactly as the sequential
-    /// search does.
-    fn split(&mut self) -> Self::Guess;
-    /// The planning split: `None` instead of a panic (a speculative path
-    /// must not fail where the committed path might never go).
-    fn try_split(&mut self) -> Option<Self::Guess>;
-    fn accept_mid(&mut self);
-    fn reject_mid(&mut self);
-    fn lo_guess(&self) -> Self::Guess;
-    fn hi_guess(&self) -> Self::Guess;
-}
-
-impl Bisect for Bracket {
-    type Guess = Rational;
-    fn is_wide(&self) -> bool {
-        Bracket::is_wide(self)
-    }
-    fn split(&mut self) -> Rational {
-        Bracket::split(self)
-    }
-    fn try_split(&mut self) -> Option<Rational> {
-        Bracket::try_split(self)
-    }
-    fn accept_mid(&mut self) {
-        Bracket::accept_mid(self);
-    }
-    fn reject_mid(&mut self) {
-        Bracket::reject_mid(self);
-    }
-    fn lo_guess(&self) -> Rational {
-        self.lo_rational()
-    }
-    fn hi_guess(&self) -> Rational {
-        self.hi_rational()
-    }
-}
-
-/// The integer bracket of [`crate::search::integer_search_budgeted`]:
-/// `lo` rejected, `hi` accepted, loop while `hi - lo > 1`.
-#[derive(Clone)]
-struct IntBracket {
-    lo: u64,
-    hi: u64,
-    mid: u64,
-}
-
-impl Bisect for IntBracket {
-    type Guess = u64;
-    fn is_wide(&self) -> bool {
-        self.hi - self.lo > 1
-    }
-    fn split(&mut self) -> u64 {
-        self.mid = self.lo + (self.hi - self.lo) / 2;
-        self.mid
-    }
-    fn try_split(&mut self) -> Option<u64> {
-        Some(self.split())
-    }
-    fn accept_mid(&mut self) {
-        self.hi = self.mid;
-    }
-    fn reject_mid(&mut self) {
-        self.lo = self.mid;
-    }
-    fn lo_guess(&self) -> u64 {
-        self.lo
-    }
-    fn hi_guess(&self) -> u64 {
-        self.hi
-    }
-}
 
 const NONE: usize = usize::MAX;
 
@@ -255,7 +162,7 @@ where
         round: &Round<G>,
         i: usize,
         ws: &mut DualWorkspace,
-        stats: &mut ParSearchStats,
+        stats: &mut SearchStats,
     ) -> bool {
         match self.await_result(round, i) {
             ACCEPT => true,
@@ -406,33 +313,85 @@ impl<G, F> Drop for ShutdownGuard<'_, '_, G, F> {
     }
 }
 
-/// The shared driver: seeds (`t_lo`, then `t_hi`) and the bisection loop,
-/// replayed in the exact sequential order against speculative results.
-///
-/// `planned` is the bracket used for wavefront planning (`None` when its
-/// construction would overflow — the committed path then recreates it with
-/// the sequential panic behaviour, *after* the `t_lo` probe, exactly as the
-/// sequential search does). `make_master` builds the committed bracket.
-#[allow(clippy::too_many_arguments)]
-fn search_par<B, F>(
-    t_lo: B::Guess,
-    t_hi: B::Guess,
+/// The speculative oracle: the committed walk's view of the engine. It
+/// charges and counts only committed queries, consuming each one's
+/// published result (or probing inline off the wavefront).
+struct Speculative<'e, 'a, 'w, G, F> {
+    engine: &'e Engine<'a, G, F>,
+    round: Arc<Round<G>>,
+    /// The planned node of the next committed query, while the walk stays
+    /// on the wavefront.
+    cur: Option<usize>,
+    ws: &'w mut DualWorkspace,
     threads: usize,
-    budget: &SolveBudget,
-    ws: &mut DualWorkspace,
-    probe: &F,
-    planned: Option<B>,
-    make_master: impl FnOnce() -> B,
-    seed_msg: &'static str,
-    stats: &mut ParSearchStats,
-) -> BudgetedProbe<B::Guess>
+    stats: SearchStats,
+}
+
+impl<B, F> Oracle<B> for Speculative<'_, '_, '_, B::Guess, F>
 where
     B: Bisect,
     F: Fn(&mut DualWorkspace, B::Guess) -> bool + Sync,
 {
+    fn ask(&mut self, t: B::Guess) -> Result<bool, Interrupt> {
+        self.engine.budget.charge_probe()?;
+        self.stats.probes += 1;
+        let accepted = match self.cur {
+            Some(i) => {
+                debug_assert!(self.round.nodes[i].guess == t, "planned guess diverged");
+                self.engine
+                    .consume(&self.round, i, self.ws, &mut self.stats)
+            }
+            None => (self.engine.probe)(self.ws, t),
+        };
+        self.cur = self.cur.and_then(|i| follow(&self.round, i, accepted));
+        Ok(accepted)
+    }
+
+    fn before_split(&mut self, bracket: &B) {
+        if self.cur.is_some() {
+            return;
+        }
+        // Walked off the planned wavefront: retire it (killing its unclaimed
+        // losers) and speculate a fresh tree rooted at the current bracket's
+        // next midpoint. Planning overflow leaves `cur` unset: the walk
+        // continues inline, with the sequential panic behaviour.
+        self.round.abort.cancel();
+        let mut nodes = Vec::new();
+        push_tree(&mut nodes, bracket, NONE, false, self.threads);
+        if !nodes.is_empty() {
+            self.stats.rounds += 1;
+            self.stats.speculated += nodes.len();
+            self.round = self.engine.publish(nodes);
+            self.cur = Some(0);
+        }
+    }
+
+    fn stats(&self) -> SearchStats {
+        self.stats
+    }
+}
+
+/// Runs one ladder on `ladder.threads` speculative workers
+/// ([`crate::search`] picks this for `threads > 1`).
+///
+/// `bracket` is planned from before the first probe (`None` when its
+/// construction would overflow — the committed walk then panics *after* the
+/// `t_lo` probe, exactly as the sequential ladder does).
+pub(crate) fn speculate<B, F>(
+    t_lo: B::Guess,
+    t_hi: B::Guess,
+    bracket: Option<B>,
+    ladder: Ladder<'_>,
+    ws: &mut DualWorkspace,
+    probe: &F,
+) -> (ProbeOutcome<B::Guess>, SearchStats)
+where
+    B: Bisect,
+    F: Fn(&mut DualWorkspace, B::Guess) -> bool + Sync,
+{
+    let threads = ladder.threads;
     debug_assert!(threads > 1);
-    let engine = Engine::new(probe, budget);
-    let mut result = None;
+    let engine = Engine::new(probe, ladder.budget);
     std::thread::scope(|scope| {
         for _ in 0..threads {
             scope.spawn(|| engine.worker());
@@ -442,13 +401,13 @@ where
         // Round 0: both seed probes plus the first speculative tree. The
         // tree hangs off the `t_hi` node (committed only after `t_lo`
         // rejected and `t_hi` accepted — the same order the sequential
-        // search discovers them in).
+        // ladder discovers them in).
         let mut nodes = vec![
             SpecNode {
                 guess: t_lo,
                 parent: NONE,
                 expect_accept: false,
-                children: [NONE, NONE],
+                children: [NONE, 1],
             },
             SpecNode {
                 guess: t_hi,
@@ -457,105 +416,27 @@ where
                 children: [NONE, NONE],
             },
         ];
-        if let Some(state) = &planned {
+        if let Some(state) = &bracket {
             // Seeds resolve in the same wavefront as the first tree levels,
             // so round 0 gets the full `threads` of tree capacity on top.
             push_tree(&mut nodes, state, 1, true, threads + 2);
         }
-        stats.rounds += 1;
-        stats.speculated += nodes.len();
-        let mut round = engine.publish(nodes);
-
-        // --- Sequential replay begins: identical charge/probe order. ---
-        let mut probes = 0usize;
-        if let Err(i) = budget.charge_probe() {
-            result = Some(BudgetedProbe {
-                outcome: ProbeOutcome {
-                    accepted: t_hi,
-                    rejected: None,
-                    probes,
-                },
-                interrupt: Some(i),
-            });
-            return;
-        }
-        probes = 1;
-        if engine.consume(&round, 0, ws, stats) {
-            result = Some(BudgetedProbe {
-                outcome: ProbeOutcome {
-                    accepted: t_lo,
-                    rejected: None,
-                    probes,
-                },
-                interrupt: None,
-            });
-            return;
-        }
-        // lo rejected; hi accepted by precondition.
-        let mut state = make_master();
-        if let Err(i) = budget.charge_probe() {
-            result = Some(BudgetedProbe {
-                outcome: ProbeOutcome {
-                    accepted: t_hi,
-                    rejected: Some(t_lo),
-                    probes,
-                },
-                interrupt: Some(i),
-            });
-            return;
-        }
-        probes += 1;
-        assert!(engine.consume(&round, 1, ws, stats), "{}", seed_msg);
-        let mut cur = follow(&round, 1, true);
-        let mut interrupt = None;
-        while state.is_wide() {
-            if cur.is_none() {
-                // Walked off the planned wavefront: retire it (killing its
-                // unclaimed losers) and speculate a fresh tree rooted at the
-                // current bracket's next midpoint.
-                round.abort.cancel();
-                let mut nodes = Vec::new();
-                push_tree(&mut nodes, &state, NONE, false, threads);
-                if !nodes.is_empty() {
-                    stats.rounds += 1;
-                    stats.speculated += nodes.len();
-                    round = engine.publish(nodes);
-                    cur = Some(0);
-                }
-                // Planning overflow leaves `cur` unset: the walk continues
-                // inline, with the sequential panic behaviour.
-            }
-            let mid = state.split();
-            if let Err(i) = budget.charge_probe() {
-                interrupt = Some(i);
-                break;
-            }
-            probes += 1;
-            let accepted = match cur {
-                Some(i) => {
-                    debug_assert!(round.nodes[i].guess == mid, "planned guess diverged");
-                    engine.consume(&round, i, ws, stats)
-                }
-                None => (engine.probe)(ws, mid),
-            };
-            if accepted {
-                state.accept_mid();
-            } else {
-                state.reject_mid();
-            }
-            cur = cur.and_then(|i| follow(&round, i, accepted));
-        }
-        round.abort.cancel();
-        result = Some(BudgetedProbe {
-            outcome: ProbeOutcome {
-                accepted: state.hi_guess(),
-                rejected: Some(state.lo_guess()),
-                probes,
-            },
-            interrupt,
-        });
-    });
-    result.expect("coordinator always sets the result")
+        let stats = SearchStats {
+            rounds: 1,
+            speculated: nodes.len(),
+            ..SearchStats::default()
+        };
+        let mut oracle = Speculative {
+            engine: &engine,
+            round: engine.publish(nodes),
+            cur: Some(0),
+            ws,
+            threads,
+            stats,
+        };
+        let out = drive(t_lo, t_hi, bracket, &mut oracle);
+        (out, oracle.stats)
+    })
 }
 
 /// The planned successor of node `i` after outcome `accepted`, if any.
@@ -564,207 +445,48 @@ fn follow<G>(round: &Round<G>, i: usize, accepted: bool) -> Option<usize> {
     (child != NONE).then_some(child)
 }
 
-/// Parallel [`crate::search::epsilon_search`]: binary search on
-/// `[t_min, 2·t_min]` to gap `ε·t_min` (Theorem 2), with speculative
-/// wavefronts on `threads` workers. Bit-identical outcome and probe count
-/// to the sequential search at every thread count; `threads <= 1` *is* the
-/// sequential search.
-///
-/// `probe` receives the workspace of whichever thread runs it — workers own
-/// one each, the committed path uses `ws`.
-pub fn epsilon_search_par<F>(
-    t_min: Rational,
-    eps: Rational,
-    threads: usize,
-    ws: &mut DualWorkspace,
-    probe: F,
-) -> ProbeOutcome<Rational>
-where
-    F: Fn(&mut DualWorkspace, Rational) -> bool + Sync,
-{
-    assert!(t_min.is_positive() && eps.is_positive());
-    epsilon_search_between_par_budgeted(
-        t_min,
-        t_min * 2u64,
-        eps * t_min,
-        threads,
-        &SolveBudget::unlimited(),
-        ws,
-        probe,
-    )
-    .outcome
-}
-
-/// Parallel [`crate::search::epsilon_search_between`] (explicit bracket and
-/// absolute gap).
-pub fn epsilon_search_between_par<F>(
-    t_lo: Rational,
-    t_hi: Rational,
-    gap: Rational,
-    threads: usize,
-    ws: &mut DualWorkspace,
-    probe: F,
-) -> ProbeOutcome<Rational>
-where
-    F: Fn(&mut DualWorkspace, Rational) -> bool + Sync,
-{
-    epsilon_search_between_par_budgeted(
-        t_lo,
-        t_hi,
-        gap,
-        threads,
-        &SolveBudget::unlimited(),
-        ws,
-        probe,
-    )
-    .outcome
-}
-
-/// Parallel [`crate::search::epsilon_search_between_budgeted`]: the full
-/// budget-aware driver. Only committed probes are charged, in exactly the
-/// sequential order, so work-limit interruption points are deterministic
-/// and identical to the sequential search; workers poll (without charging)
-/// so deadlines and cancellation stop speculation promptly.
-pub fn epsilon_search_between_par_budgeted<F>(
-    t_lo: Rational,
-    t_hi: Rational,
-    gap: Rational,
-    threads: usize,
-    budget: &SolveBudget,
-    ws: &mut DualWorkspace,
-    probe: F,
-) -> BudgetedProbe<Rational>
-where
-    F: Fn(&mut DualWorkspace, Rational) -> bool + Sync,
-{
-    epsilon_search_between_par_stats(t_lo, t_hi, gap, threads, budget, ws, probe).0
-}
-
-/// [`epsilon_search_between_par_budgeted`] that also reports the wavefront
-/// accounting — the deterministic critical-path metric of `benches/par.rs`.
-pub fn epsilon_search_between_par_stats<F>(
-    t_lo: Rational,
-    t_hi: Rational,
-    gap: Rational,
-    threads: usize,
-    budget: &SolveBudget,
-    ws: &mut DualWorkspace,
-    probe: F,
-) -> (BudgetedProbe<Rational>, ParSearchStats)
-where
-    F: Fn(&mut DualWorkspace, Rational) -> bool + Sync,
-{
-    assert!(t_lo.is_positive() && gap.is_positive() && t_lo <= t_hi);
-    let mut stats = ParSearchStats::default();
-    if threads <= 1 {
-        let ws = &mut *ws;
-        let out = crate::search::epsilon_search_between_budgeted(t_lo, t_hi, gap, budget, |t| {
-            probe(ws, t)
-        });
-        return (out, stats);
-    }
-    let out = search_par(
-        t_lo,
-        t_hi,
-        threads,
-        budget,
-        ws,
-        &probe,
-        Bracket::try_new(t_lo, t_hi, gap),
-        || Bracket::new(t_lo, t_hi, gap),
-        "the search's upper seed must be accepted",
-        &mut stats,
-    );
-    (out, stats)
-}
-
-/// Parallel [`crate::search::integer_search`] (Theorem 8's exact integral
-/// search). Same determinism contract as [`epsilon_search_par`].
-pub fn integer_search_par<F>(
-    t_lo: u64,
-    t_hi: u64,
-    threads: usize,
-    ws: &mut DualWorkspace,
-    probe: F,
-) -> ProbeOutcome<u64>
-where
-    F: Fn(&mut DualWorkspace, u64) -> bool + Sync,
-{
-    integer_search_par_budgeted(t_lo, t_hi, threads, &SolveBudget::unlimited(), ws, probe).outcome
-}
-
-/// Parallel [`crate::search::integer_search_budgeted`].
-pub fn integer_search_par_budgeted<F>(
-    t_lo: u64,
-    t_hi: u64,
-    threads: usize,
-    budget: &SolveBudget,
-    ws: &mut DualWorkspace,
-    probe: F,
-) -> BudgetedProbe<u64>
-where
-    F: Fn(&mut DualWorkspace, u64) -> bool + Sync,
-{
-    assert!(t_lo <= t_hi);
-    if threads <= 1 {
-        let ws = &mut *ws;
-        return crate::search::integer_search_budgeted(t_lo, t_hi, budget, |t| probe(ws, t));
-    }
-    let mut stats = ParSearchStats::default();
-    search_par(
-        t_lo,
-        t_hi,
-        threads,
-        budget,
-        ws,
-        &probe,
-        Some(IntBracket {
-            lo: t_lo,
-            hi: t_hi,
-            mid: 0,
-        }),
-        || IntBracket {
-            lo: t_lo,
-            hi: t_hi,
-            mid: 0,
-        },
-        "upper bound must be accepted",
-        &mut stats,
-    )
-}
-
 #[cfg(test)]
 mod tests {
+    use bss_rational::Rational;
+
     use super::*;
-    use crate::search::{epsilon_search_between_budgeted, integer_search_budgeted};
+    use crate::search::{epsilon_search_between, integer_search};
+    use crate::SolveConfig;
 
     fn r(v: i128) -> Rational {
         Rational::from_int(v)
+    }
+
+    /// A ladder configuration on `threads` threads under `budget`.
+    fn cfg(threads: usize, budget: &SolveBudget) -> SolveConfig<'_> {
+        SolveConfig {
+            budget: Some(budget),
+            threads,
+            ..SolveConfig::default()
+        }
     }
 
     const THREADS: [usize; 4] = [1, 2, 4, 8];
 
     #[test]
     fn epsilon_par_matches_sequential_bitwise() {
+        let unlimited = SolveBudget::unlimited();
         for denom in [3i128, 7, 64, 1000] {
             for num in [301i128, 399, 555, 599] {
                 let threshold = Rational::new(num, denom);
-                let seq = epsilon_search_between_budgeted(
+                let (seq, _) = epsilon_search_between(
                     r(100),
                     r(200),
                     Rational::new(1, 128),
-                    &SolveBudget::unlimited(),
-                    |t| t >= threshold,
+                    cfg(1, &unlimited),
+                    |_, t| t >= threshold,
                 );
                 for threads in THREADS {
-                    let mut ws = DualWorkspace::new();
-                    let par = epsilon_search_between_par_budgeted(
+                    let (par, _) = epsilon_search_between(
                         r(100),
                         r(200),
                         Rational::new(1, 128),
-                        threads,
-                        &SolveBudget::unlimited(),
-                        &mut ws,
+                        cfg(threads, &unlimited),
                         |_, t| t >= threshold,
                     );
                     assert_eq!(par, seq, "threads={threads} threshold={threshold}");
@@ -775,11 +497,13 @@ mod tests {
 
     #[test]
     fn epsilon_par_immediate_accept() {
+        let unlimited = SolveBudget::unlimited();
         for threads in THREADS {
-            let mut ws = DualWorkspace::new();
-            let out = epsilon_search_par(r(100), Rational::new(1, 10), threads, &mut ws, |_, t| {
-                t >= r(50)
-            });
+            // ε = 1/10 on [T_min, 2·T_min] with T_min = 100.
+            let (out, _) =
+                epsilon_search_between(r(100), r(200), r(10), cfg(threads, &unlimited), |_, t| {
+                    t >= r(50)
+                });
             assert_eq!(out.accepted, r(100));
             assert_eq!(out.rejected, None);
             assert_eq!(out.probes, 1);
@@ -788,19 +512,12 @@ mod tests {
 
     #[test]
     fn integer_par_matches_sequential_bitwise() {
+        let unlimited = SolveBudget::unlimited();
         for threshold in [101u64, 137, 199, 200, 777, 1000] {
-            let seq =
-                integer_search_budgeted(100, 1000, &SolveBudget::unlimited(), |t| t >= threshold);
+            let (seq, _) = integer_search(100, 1000, cfg(1, &unlimited), |_, t| t >= threshold);
             for threads in THREADS {
-                let mut ws = DualWorkspace::new();
-                let par = integer_search_par_budgeted(
-                    100,
-                    1000,
-                    threads,
-                    &SolveBudget::unlimited(),
-                    &mut ws,
-                    |_, t| t >= threshold,
-                );
+                let (par, _) =
+                    integer_search(100, 1000, cfg(threads, &unlimited), |_, t| t >= threshold);
                 assert_eq!(par, seq, "threads={threads} threshold={threshold}");
             }
         }
@@ -813,18 +530,11 @@ mod tests {
         let threshold = 137u64;
         for limit in 0..12 {
             let seq_budget = SolveBudget::unlimited().with_work_limit(limit);
-            let seq = integer_search_budgeted(100, 1000, &seq_budget, |t| t >= threshold);
+            let (seq, _) = integer_search(100, 1000, cfg(1, &seq_budget), |_, t| t >= threshold);
             for threads in THREADS {
                 let par_budget = SolveBudget::unlimited().with_work_limit(limit);
-                let mut ws = DualWorkspace::new();
-                let par = integer_search_par_budgeted(
-                    100,
-                    1000,
-                    threads,
-                    &par_budget,
-                    &mut ws,
-                    |_, t| t >= threshold,
-                );
+                let (par, _) =
+                    integer_search(100, 1000, cfg(threads, &par_budget), |_, t| t >= threshold);
                 assert_eq!(par, seq, "threads={threads} limit={limit}");
                 assert_eq!(seq_budget.work_used(), par_budget.work_used());
             }
@@ -836,27 +546,19 @@ mod tests {
         // Probe panics at one loser guess the committed path never visits:
         // the parallel search must still match the sequential one.
         let threshold = 137u64;
-        let seq = integer_search_budgeted(100, 1000, &SolveBudget::unlimited(), |t| t >= threshold);
-        let mut ws = DualWorkspace::new();
-        let par = integer_search_par_budgeted(
-            100,
-            1000,
-            8,
-            &SolveBudget::unlimited(),
-            &mut ws,
-            |_, t| {
-                // 775 = mid of (550, 1000], a reject-side path the committed
-                // walk (which accepts at 550's level) never takes.
-                assert!(t != 775, "loser probe");
-                t >= threshold
-            },
-        );
+        let unlimited = SolveBudget::unlimited();
+        let (seq, _) = integer_search(100, 1000, cfg(1, &unlimited), |_, t| t >= threshold);
+        let (par, _) = integer_search(100, 1000, cfg(8, &unlimited), |_, t| {
+            // 775 = mid of (550, 1000], a reject-side path the committed
+            // walk (which accepts at 550's level) never takes.
+            assert!(t != 775, "loser probe");
+            t >= threshold
+        });
         assert_eq!(par, seq);
 
         // A panic at a guess the committed path *does* probe propagates.
         let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            let mut ws = DualWorkspace::new();
-            integer_search_par_budgeted(100, 1000, 8, &SolveBudget::unlimited(), &mut ws, |_, t| {
+            integer_search(100, 1000, cfg(8, &unlimited), |_, t| {
                 assert!(t != 550, "committed probe");
                 t >= threshold
             })
@@ -869,11 +571,10 @@ mod tests {
         let token = CancelToken::new();
         let budget = SolveBudget::unlimited().with_cancel(&token);
         token.cancel();
-        let mut ws = DualWorkspace::new();
-        let par = integer_search_par_budgeted(100, 1000, 4, &budget, &mut ws, |_, t| t >= 137);
+        let (par, _) = integer_search(100, 1000, cfg(4, &budget), |_, t| t >= 137);
         // Identical to the sequential search under a pre-cancelled budget:
         // nothing probed, bracket untouched.
-        let seq = integer_search_budgeted(100, 1000, &budget, |t| t >= 137);
+        let (seq, _) = integer_search(100, 1000, cfg(1, &budget), |_, t| t >= 137);
         assert_eq!(par, seq);
         assert!(par.interrupt.is_some());
     }
@@ -881,26 +582,24 @@ mod tests {
     #[test]
     fn stats_report_the_wavefront_critical_path() {
         let threshold = Rational::new(555, 4);
-        let mut ws = DualWorkspace::new();
-        let (par, stats) = epsilon_search_between_par_stats(
+        let unlimited = SolveBudget::unlimited();
+        let (par, stats) = epsilon_search_between(
             r(100),
             r(200),
             Rational::new(1, 1 << 16),
-            8,
-            &SolveBudget::unlimited(),
-            &mut ws,
+            cfg(8, &unlimited),
             |_, t| t >= threshold,
         );
         assert!(par.interrupt.is_none());
         assert!(stats.rounds >= 1);
-        assert!(stats.speculated >= par.outcome.probes);
+        assert!(stats.speculated >= par.probes);
         // The whole point: the wavefront critical path is much shorter than
         // the sequential probe ladder. 8 threads commit >= 3 levels/round.
         assert!(
-            stats.rounds <= 1 + par.outcome.probes.div_ceil(3),
+            stats.rounds <= 1 + par.probes.div_ceil(3),
             "rounds {} vs probes {}",
             stats.rounds,
-            par.outcome.probes
+            par.probes
         );
         assert_eq!(stats.inline, 0, "no skips under an unlimited budget");
     }

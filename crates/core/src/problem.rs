@@ -4,7 +4,8 @@
 //! an instance-only lower bound `T_min` seeding a search window, a cheap
 //! accept/reject *probe* at a guess `T`, and a *builder* that turns an
 //! accepted guess into a schedule of makespan `<= ρ·T`. The [`Problem`]
-//! trait captures exactly that shape; [`solve_problem`] drives any
+//! trait captures exactly that shape; [`solve_problem`] (and
+//! [`solve_problem_with_config`], with every setting) drives any
 //! implementor through the four [`Algorithm`] modes (direct fallback,
 //! ε-search, the problem's best direct search, and the portfolio), producing
 //! the same [`Solution`] type everywhere.
@@ -38,8 +39,8 @@ use bss_budget::{Interrupt, SolveBudget};
 use bss_instance::{Instance, LowerBounds, Variant};
 use bss_rational::Rational;
 
-use crate::api::{finish, Algorithm, Completion, ScheduleRepr, Solution, SolveError};
-use crate::search::epsilon_search_between_budgeted;
+use crate::api::{finish, Algorithm, Completion, ScheduleRepr, Solution, SolveConfig, SolveError};
+use crate::search::{self, Bracket, Ladder, SearchStats};
 use crate::workspace::DualWorkspace;
 use crate::{nonpreemptive, preemptive, splittable, two_approx, Trace};
 
@@ -168,11 +169,13 @@ pub trait Problem {
 
 /// Drives any [`Problem`] through the chosen [`Algorithm`] on a reusable
 /// workspace. All four modes share the guarantee accounting documented on
-/// the module; the result is a standard [`Solution`].
+/// the module; the result is a standard [`Solution`]. Panics propagate;
+/// [`solve_problem_with_config`] is the same driver behind the safe
+/// boundary, with every other setting.
 ///
-/// (`P: Sync` because the same driver backs the parallel entry points,
-/// where probes run on worker threads; both implementors in this workspace
-/// are plain borrows of immutable instances.)
+/// (`P: Sync` because the same driver runs speculative probes on worker
+/// threads; both implementors in this workspace are plain borrows of
+/// immutable instances.)
 #[must_use]
 pub fn solve_problem<P: Problem + Sync + ?Sized>(
     ws: &mut DualWorkspace,
@@ -180,287 +183,95 @@ pub fn solve_problem<P: Problem + Sync + ?Sized>(
     algo: Algorithm,
     trace: &mut Trace,
 ) -> Solution {
-    solve_problem_with_budget(ws, problem, algo, &SolveBudget::unlimited(), trace)
+    let ladder = Ladder {
+        budget: &SolveBudget::unlimited(),
+        threads: 1,
+        warm: None,
+    };
+    dispatch(ws, problem, algo, ladder, trace).0
 }
 
-/// [`solve_problem`] with `threads` threads of speculative parallelism on
-/// the probe ladders (see [`crate::par`]): bit-identical results and probe
-/// accounting at every thread count, `threads <= 1` *is* the sequential
-/// driver.
-#[must_use]
-pub fn solve_problem_par<P: Problem + Sync + ?Sized>(
-    ws: &mut DualWorkspace,
-    problem: &P,
-    algo: Algorithm,
-    threads: usize,
-    trace: &mut Trace,
-) -> Solution {
-    solve_problem_par_with_budget(ws, problem, algo, threads, &SolveBudget::unlimited(), trace)
-}
-
-/// [`solve_problem`] at the safe API boundary: the solve runs under `budget`
-/// and behind [`catch_unwind`], so a solver panic (arithmetic overflow on an
-/// adversarial instance, a violated internal invariant, injected chaos)
-/// surfaces as a typed [`SolveError`] instead of unwinding through the
-/// caller. On panic the workspace is [reset](DualWorkspace::reset) — buffers
-/// abandoned mid-probe may hold arbitrary partial state — so the same
-/// workspace is safe (and bit-identical to fresh) for the next solve.
-/// Ordinary interrupts (deadline, budget, cancel) are *not* errors: they
-/// return `Ok` with a degraded [`Completion`] and honest accounting.
-pub fn solve_problem_budgeted<P: Problem + Sync + ?Sized>(
-    ws: &mut DualWorkspace,
-    problem: &P,
-    algo: Algorithm,
-    budget: &SolveBudget,
-    trace: &mut Trace,
-) -> Result<Solution, SolveError> {
-    solve_problem_par_budgeted(ws, problem, algo, 1, budget, trace)
-}
-
-/// [`solve_problem_budgeted`] with `threads` threads of speculative
-/// parallelism — the safe boundary of the parallel driver. Panics caught
-/// here include those re-raised from speculative workers along the
-/// committed path (losers' panics never surface; see [`crate::par`]).
+/// [`solve_problem`] under every setting of `cfg` — workspace, budget,
+/// threads, warm hint and trace — at the safe API boundary.
+///
+/// The solve runs behind [`catch_unwind`], so a solver panic (arithmetic
+/// overflow on an adversarial instance, a violated internal invariant,
+/// injected chaos, or one re-raised from a speculative worker on the
+/// committed path) surfaces as a typed [`SolveError`] instead of unwinding
+/// through the caller. On panic the workspace is
+/// [reset](DualWorkspace::reset) — buffers abandoned mid-probe may hold
+/// arbitrary partial state — so the same workspace is safe (and
+/// bit-identical to fresh) for the next solve.
+///
+/// Under an unlimited budget the result is bit-identical to
+/// [`solve_problem`] at every thread count. Under a limited one, an
+/// interruption degrades gracefully instead of failing: the search's current
+/// right bracket (always a genuinely accepted guess) is built, the `O(n)`
+/// fallback is merged in as a safety net, the `ratio_bound` is honestly
+/// widened against the certified lower bound, and [`Solution::completion`]
+/// reports what happened. A warm hint changes only [`Solution::probes`]:
+/// its budget charges one unit per bisection query, memo answers included
+/// (the hint seeds are not charged), so under any work limit a warm solve
+/// stops exactly where the cold one does.
 ///
 /// # Errors
 /// [`SolveError`] when the solver panicked; interruption is **not** an
 /// error.
-pub fn solve_problem_par_budgeted<P: Problem + Sync + ?Sized>(
-    ws: &mut DualWorkspace,
+pub fn solve_problem_with_config<P: Problem + Sync + ?Sized>(
     problem: &P,
     algo: Algorithm,
-    threads: usize,
-    budget: &SolveBudget,
-    trace: &mut Trace,
+    cfg: SolveConfig<'_>,
 ) -> Result<Solution, SolveError> {
-    let result = {
-        let ws = &mut *ws;
-        let trace = &mut *trace;
-        catch_unwind(AssertUnwindSafe(move || {
-            solve_problem_par_with_budget(ws, problem, algo, threads, budget, trace)
-        }))
-    };
-    match result {
-        Ok(sol) => Ok(sol),
-        Err(payload) => {
+    cfg.unpack(|ws, ladder, trace| {
+        let result = {
+            let ws = &mut *ws;
+            catch_unwind(AssertUnwindSafe(move || {
+                dispatch(ws, problem, algo, ladder, trace).0
+            }))
+        };
+        result.map_err(|payload| {
             ws.reset();
-            Err(SolveError::from_panic(payload.as_ref()))
-        }
-    }
+            SolveError::from_panic(payload.as_ref())
+        })
+    })
 }
 
-/// The budgeted driver core: panics propagate (prefer
-/// [`solve_problem_budgeted`] at API boundaries). Bit-identical to
-/// [`solve_problem`] under [`SolveBudget::unlimited`]; under a limited
-/// budget, an interruption degrades gracefully — the search's current right
-/// bracket (always a genuinely accepted guess) is built, the `O(n)` fallback
-/// is merged in as a safety net, the `ratio_bound` is honestly widened
-/// against the certified lower bound, and [`Solution::completion`] reports
-/// what happened.
-#[must_use]
-pub fn solve_problem_with_budget<P: Problem + Sync + ?Sized>(
+/// The driver core behind every solve entry point: runs `algo` with the
+/// ladder settings `ladder` and reports the ε-ladder's counters (default
+/// for the other algorithms).
+pub(crate) fn dispatch<P: Problem + Sync + ?Sized>(
     ws: &mut DualWorkspace,
     problem: &P,
     algo: Algorithm,
-    budget: &SolveBudget,
+    ladder: Ladder<'_>,
     trace: &mut Trace,
-) -> Solution {
-    solve_problem_par_with_budget(ws, problem, algo, 1, budget, trace)
-}
-
-/// The parallel driver core — [`solve_problem_with_budget`] is this with
-/// `threads = 1`. Panics propagate (prefer [`solve_problem_par_budgeted`]
-/// at API boundaries). The search arms dispatch to the speculative drivers
-/// of [`crate::par`] when `threads > 1`; results are bit-identical to the
-/// sequential driver either way (guarded by the `par_determinism` suite).
-#[must_use]
-pub fn solve_problem_par_with_budget<P: Problem + Sync + ?Sized>(
-    ws: &mut DualWorkspace,
-    problem: &P,
-    algo: Algorithm,
-    threads: usize,
-    budget: &SolveBudget,
-    trace: &mut Trace,
-) -> Solution {
+) -> (Solution, SearchStats) {
     let t_min = problem.t_min();
-    let mut sol = match algo {
-        Algorithm::Portfolio => {
-            let a = solve_problem_par_with_budget(
-                ws,
-                problem,
-                Algorithm::ThreeHalves,
-                threads,
-                budget,
-                trace,
-            );
-            let b = solve_problem_par_with_budget(
-                ws,
-                problem,
-                Algorithm::TwoApprox,
-                threads,
-                budget,
-                trace,
-            );
-            // The primary member's guarantee carries over: even when the
-            // fallback's schedule wins on makespan, it is bounded by the
-            // primary's makespan, so `a.ratio_bound * a.accepted` still
-            // dominates. Keep that pair so the documented invariant
-            // `makespan <= ratio_bound * accepted` holds. (When the primary
-            // was interrupted, its pair is already the honestly widened
-            // one, so no further widening happens here.)
-            let completion = a.completion;
-            let accepted = a.accepted;
-            let ratio = a.ratio_bound;
-            let (mut best, other) = if a.makespan <= b.makespan {
-                (a, b)
-            } else {
-                (b, a)
-            };
-            best.accepted = accepted;
-            best.ratio_bound = ratio;
-            best.certificate = best.certificate.max(other.certificate);
-            best.probes += other.probes;
-            // Tiny instances afford the exact oracle: a closed search *is*
-            // the optimum (guarantee 1); a non-closed search still donates
-            // its certified lower bound, and its anytime incumbent when
-            // that schedule beats both members. An interrupted or exhausted
-            // budget skips the oracle — the remaining time belongs to the
-            // caller, not to branch-and-bound — and the skip (or an oracle
-            // cut short mid-search) is reported as degradation: `Full` must
-            // keep meaning "bit-identical to the unbudgeted solve".
-            let mut oracle_interrupt = None;
-            let oracle = if completion.is_full() {
-                match budget.poll() {
-                    Ok(()) => {
-                        let ex = problem.exact_oracle_budgeted(budget);
-                        if let Err(i) = budget.poll() {
-                            oracle_interrupt = Some(i);
-                        }
-                        ex
-                    }
-                    Err(i) => {
-                        oracle_interrupt = Some(i);
-                        None
-                    }
-                }
-            } else {
-                None
-            };
-            let closed = matches!(&oracle, Some(ex) if ex.status == bss_exact::ExactStatus::Closed);
-            let mut merged = match oracle {
-                Some(ex) if ex.status == bss_exact::ExactStatus::Closed => {
-                    let opt = ex.upper;
-                    finish(
-                        ScheduleRepr::Explicit(ex.schedule),
-                        opt,
-                        Rational::ONE,
-                        opt,
-                        best.probes,
-                    )
-                }
-                Some(ex) => {
-                    best.certificate = best.certificate.max(ex.lower);
-                    let incumbent = ex.schedule.makespan();
-                    if incumbent < best.makespan {
-                        let mut sol = finish(
-                            ScheduleRepr::Explicit(ex.schedule),
-                            best.accepted,
-                            best.ratio_bound,
-                            best.certificate,
-                            best.probes,
-                        );
-                        debug_assert_eq!(sol.makespan, incumbent);
-                        sol.certificate = sol.certificate.min(sol.makespan);
-                        sol
-                    } else {
-                        best
-                    }
-                }
-                None => best,
-            };
-            // A closed oracle *is* the full answer even if the budget tripped
-            // between closing and reporting; otherwise a skipped or cut-short
-            // oracle degrades the portfolio honestly.
-            merged.completion = if closed {
-                Completion::Full
-            } else if let Some(i) = oracle_interrupt {
-                Completion::of(Some(i))
-            } else {
-                completion
-            };
-            merged
-        }
+    let (mut sol, stats) = match algo {
+        Algorithm::Portfolio => (
+            portfolio(ws, problem, ladder, trace),
+            SearchStats::default(),
+        ),
         Algorithm::TwoApprox => {
             // The `O(n)` fallback is the floor everything else degrades to;
             // it runs to completion regardless of the budget.
             let (repr, ratio) = problem.fallback(ws, trace);
-            finish(repr, t_min, ratio, t_min, 0)
+            (finish(repr, t_min, ratio, t_min, 0), SearchStats::default())
         }
         Algorithm::EpsilonSearch { eps_log2 } => {
-            let eps = Rational::new(1, 1 << eps_log2.min(60));
-            let budgeted = if threads > 1 {
-                crate::par::epsilon_search_between_par_budgeted(
-                    t_min,
-                    problem.search_hi(),
-                    eps * t_min,
-                    threads,
-                    budget,
-                    ws,
-                    |w, t| problem.probe(w, t),
-                )
-            } else {
-                epsilon_search_between_budgeted(
-                    t_min,
-                    problem.search_hi(),
-                    eps * t_min,
-                    budget,
-                    |t| problem.probe(ws, t),
-                )
-            };
-            let out = budgeted.outcome;
-            // The builders keep defensive rejection branches beyond the
-            // accept test; if one fires at the accepted guess, fall back to
-            // the problem's safe guess instead of panicking.
-            let (accepted, repr) = match problem.build(ws, out.accepted, trace) {
-                Some(r) => (out.accepted, r),
-                None => {
-                    let hi = problem.t_safe();
-                    (
-                        hi,
-                        problem
-                            .build(ws, hi, trace)
-                            .expect("t_safe is accepted and builds"),
-                    )
-                }
-            };
-            let cert = if problem.probe_certifies() {
-                out.rejected.unwrap_or(t_min).max(t_min)
-            } else {
-                t_min
-            };
-            let sol = finish(
-                repr,
-                accepted,
-                problem.dual_ratio() * (eps + 1u64),
-                cert,
-                out.probes,
-            );
-            degraded(ws, problem, sol, budgeted.interrupt, trace)
+            let (d, interrupt, stats) = epsilon_solve(problem, ws, eps_log2, ladder, trace);
+            (conclude(ws, problem, d, interrupt, trace), stats)
         }
         Algorithm::ThreeHalves => {
-            let (d, interrupt) = if threads > 1 {
-                problem.direct_search_par_budgeted(ws, threads, budget, trace)
+            let (d, interrupt) = if ladder.threads > 1 {
+                problem.direct_search_par_budgeted(ws, ladder.threads, ladder.budget, trace)
             } else {
-                problem.direct_search_budgeted(ws, budget, trace)
+                problem.direct_search_budgeted(ws, ladder.budget, trace)
             };
-            let sol = finish(
-                d.repr,
-                d.accepted,
-                d.ratio,
-                d.certificate.max(t_min),
-                d.probes,
-            );
-            degraded(ws, problem, sol, interrupt, trace)
+            (
+                conclude(ws, problem, d, interrupt, trace),
+                SearchStats::default(),
+            )
         }
     };
     // Heuristic problems may floor their `t_min` above the true optimum of
@@ -470,11 +281,153 @@ pub fn solve_problem_par_with_budget<P: Problem + Sync + ?Sized>(
     if !problem.probe_certifies() {
         sol.certificate = sol.certificate.min(sol.makespan);
     }
-    sol
+    (sol, stats)
 }
 
-/// Applies graceful degradation to an interrupted search result (no-op when
-/// `interrupt` is `None`):
+/// Theorem 2 over any problem: one ladder on `[T_min, search_hi]` down to
+/// the gap `ε·T_min`, then one build at the accepted guess — at
+/// [`Problem::t_safe`] if the builder's defensive rejection fires there.
+/// Rejections tighten the certificate only when they certify, and the
+/// ratio is `ρ(1+ε)`.
+pub(crate) fn epsilon_solve<P: Problem + Sync + ?Sized>(
+    problem: &P,
+    ws: &mut DualWorkspace,
+    eps_log2: u32,
+    ladder: Ladder<'_>,
+    trace: &mut Trace,
+) -> (DirectSolve, Option<Interrupt>, SearchStats) {
+    let t_min = problem.t_min();
+    let t_hi = problem.search_hi();
+    let eps = Rational::new(1, 1 << eps_log2.min(60));
+    let bracket = Bracket::try_new(t_min, t_hi, eps * t_min);
+    let probe = |w: &mut DualWorkspace, t| problem.probe(w, t);
+    let (out, stats) = search::run(t_min, t_hi, bracket, ladder, ws, &probe);
+    let (accepted, repr) = match problem.build(ws, out.accepted, trace) {
+        Some(repr) => (out.accepted, repr),
+        None => {
+            let t = problem.t_safe();
+            let repr = problem
+                .build(ws, t, trace)
+                .expect("t_safe is accepted and builds");
+            (t, repr)
+        }
+    };
+    let certificate = match out.rejected {
+        Some(rejected) if problem.probe_certifies() => rejected.max(t_min),
+        _ => t_min,
+    };
+    let d = DirectSolve {
+        repr,
+        accepted,
+        certificate,
+        probes: out.probes,
+        ratio: problem.dual_ratio() * (eps + 1u64),
+    };
+    (d, out.interrupt, stats)
+}
+
+/// [`Algorithm::Portfolio`]: [`Algorithm::ThreeHalves`] and
+/// [`Algorithm::TwoApprox`] under the same ladder settings, merged, plus
+/// the exact oracle on tiny instances.
+fn portfolio<P: Problem + Sync + ?Sized>(
+    ws: &mut DualWorkspace,
+    problem: &P,
+    ladder: Ladder<'_>,
+    trace: &mut Trace,
+) -> Solution {
+    let budget = ladder.budget;
+    let (a, _) = dispatch(ws, problem, Algorithm::ThreeHalves, ladder, trace);
+    let (b, _) = dispatch(ws, problem, Algorithm::TwoApprox, ladder, trace);
+    // The primary member's guarantee carries over: even when the fallback's
+    // schedule wins on makespan, it is bounded by the primary's makespan, so
+    // `a.ratio_bound * a.accepted` still dominates. Keep that pair so the
+    // documented invariant `makespan <= ratio_bound * accepted` holds. (When
+    // the primary was interrupted, its pair is already the honestly widened
+    // one, so no further widening happens here.)
+    let completion = a.completion;
+    let accepted = a.accepted;
+    let ratio = a.ratio_bound;
+    let (mut best, other) = if a.makespan <= b.makespan {
+        (a, b)
+    } else {
+        (b, a)
+    };
+    best.accepted = accepted;
+    best.ratio_bound = ratio;
+    best.certificate = best.certificate.max(other.certificate);
+    best.probes += other.probes;
+    // Tiny instances afford the exact oracle: a closed search *is* the
+    // optimum (guarantee 1); a non-closed search still donates its certified
+    // lower bound, and its anytime incumbent when that schedule beats both
+    // members. An interrupted or exhausted budget skips the oracle — the
+    // remaining time belongs to the caller, not to branch-and-bound — and the
+    // skip (or an oracle cut short mid-search) is reported as degradation:
+    // `Full` must keep meaning "bit-identical to the unbudgeted solve".
+    let mut oracle_interrupt = None;
+    let oracle = if completion.is_full() {
+        match budget.poll() {
+            Ok(()) => {
+                let ex = problem.exact_oracle_budgeted(budget);
+                if let Err(i) = budget.poll() {
+                    oracle_interrupt = Some(i);
+                }
+                ex
+            }
+            Err(i) => {
+                oracle_interrupt = Some(i);
+                None
+            }
+        }
+    } else {
+        None
+    };
+    let closed = matches!(&oracle, Some(ex) if ex.status == bss_exact::ExactStatus::Closed);
+    let mut merged = match oracle {
+        Some(ex) if ex.status == bss_exact::ExactStatus::Closed => {
+            let opt = ex.upper;
+            finish(
+                ScheduleRepr::Explicit(ex.schedule),
+                opt,
+                Rational::ONE,
+                opt,
+                best.probes,
+            )
+        }
+        Some(ex) => {
+            best.certificate = best.certificate.max(ex.lower);
+            let incumbent = ex.schedule.makespan();
+            if incumbent < best.makespan {
+                let mut sol = finish(
+                    ScheduleRepr::Explicit(ex.schedule),
+                    best.accepted,
+                    best.ratio_bound,
+                    best.certificate,
+                    best.probes,
+                );
+                debug_assert_eq!(sol.makespan, incumbent);
+                sol.certificate = sol.certificate.min(sol.makespan);
+                sol
+            } else {
+                best
+            }
+        }
+        None => best,
+    };
+    // A closed oracle *is* the full answer even if the budget tripped between
+    // closing and reporting; otherwise a skipped or cut-short oracle degrades
+    // the portfolio honestly.
+    merged.completion = if closed {
+        Completion::Full
+    } else if let Some(i) = oracle_interrupt {
+        Completion::of(Some(i))
+    } else {
+        completion
+    };
+    merged
+}
+
+/// Turns a search result into a [`Solution`], applying graceful
+/// degradation when the search was interrupted:
 ///
 /// 1. **Honest widening.** A completed certifying search proves `makespan <=
 ///    ratio · OPT` because it drove `accepted` down to (within ε of) a
@@ -490,13 +443,21 @@ pub fn solve_problem_par_with_budget<P: Problem + Sync + ?Sized>(
 ///    maximum — so even an instantly-expiring budget returns the
 ///    Theorem-1 2-approximation rather than the bracket top alone.
 /// 3. The [`Completion`] records the interrupt.
-fn degraded<P: Problem + ?Sized>(
+fn conclude<P: Problem + ?Sized>(
     ws: &mut DualWorkspace,
     problem: &P,
-    mut sol: Solution,
+    d: DirectSolve,
     interrupt: Option<Interrupt>,
     trace: &mut Trace,
 ) -> Solution {
+    let t_min = problem.t_min();
+    let mut sol = finish(
+        d.repr,
+        d.accepted,
+        d.ratio,
+        d.certificate.max(t_min),
+        d.probes,
+    );
     let Some(interrupt) = interrupt else {
         return sol;
     };
@@ -504,7 +465,6 @@ fn degraded<P: Problem + ?Sized>(
     {
         sol.ratio_bound = sol.ratio_bound * sol.accepted / sol.certificate;
     }
-    let t_min = problem.t_min();
     let (repr, ratio) = problem.fallback(ws, trace);
     let net = finish(repr, t_min, ratio, t_min, 0);
     let cert = sol.certificate.max(net.certificate);
@@ -630,52 +590,9 @@ impl Problem for BssProblem<'_> {
         &self,
         ws: &mut DualWorkspace,
         budget: &SolveBudget,
-        _trace: &mut Trace,
+        trace: &mut Trace,
     ) -> (DirectSolve, Option<Interrupt>) {
-        let t_min = self.t_min();
-        let three_halves = Rational::new(3, 2);
-        match self.variant {
-            Variant::Splittable => {
-                let (out, interrupt) = splittable::class_jumping_budgeted_in(ws, self.inst, budget);
-                (
-                    DirectSolve {
-                        repr: ScheduleRepr::Compact(out.schedule),
-                        accepted: out.accepted,
-                        certificate: out.rejected.unwrap_or(t_min).max(t_min),
-                        probes: out.probes,
-                        ratio: three_halves,
-                    },
-                    interrupt,
-                )
-            }
-            Variant::Preemptive => {
-                let (out, interrupt) = preemptive::class_jumping_budgeted_in(ws, self.inst, budget);
-                (
-                    DirectSolve {
-                        repr: ScheduleRepr::Explicit(out.schedule),
-                        accepted: out.accepted,
-                        certificate: out.rejected.unwrap_or(t_min).max(t_min),
-                        probes: out.probes,
-                        ratio: three_halves,
-                    },
-                    interrupt,
-                )
-            }
-            Variant::NonPreemptive => {
-                let (out, interrupt) =
-                    nonpreemptive::three_halves_budgeted_in(ws, self.inst, budget);
-                (
-                    DirectSolve {
-                        repr: ScheduleRepr::Explicit(out.schedule),
-                        accepted: out.accepted,
-                        certificate: out.rejected.unwrap_or(t_min).max(t_min),
-                        probes: out.probes,
-                        ratio: three_halves,
-                    },
-                    interrupt,
-                )
-            }
-        }
+        self.direct_search_par_budgeted(ws, 1, budget, trace)
     }
 
     fn direct_search_par_budgeted(
@@ -683,29 +600,58 @@ impl Problem for BssProblem<'_> {
         ws: &mut DualWorkspace,
         threads: usize,
         budget: &SolveBudget,
-        trace: &mut Trace,
+        _trace: &mut Trace,
     ) -> (DirectSolve, Option<Interrupt>) {
+        let t_min = self.t_min();
+        let direct = |repr, accepted, rejected: Option<Rational>, probes| DirectSolve {
+            repr,
+            accepted,
+            certificate: rejected.unwrap_or(t_min).max(t_min),
+            probes,
+            ratio: Rational::new(3, 2),
+        };
         match self.variant {
-            // Theorem 8's integer bisection parallelizes speculatively.
-            Variant::NonPreemptive if threads > 1 => {
-                let t_min = self.t_min();
-                let (out, interrupt) =
-                    nonpreemptive::three_halves_par_budgeted_in(ws, self.inst, threads, budget);
+            // Class Jumping walks a jump structure whose next probe depends
+            // on the previous outcome in a way the wavefront planner cannot
+            // enumerate; it stays sequential.
+            Variant::Splittable => {
+                let (out, i) = splittable::class_jumping_budgeted_in(ws, self.inst, budget);
                 (
-                    DirectSolve {
-                        repr: ScheduleRepr::Explicit(out.schedule),
-                        accepted: out.accepted,
-                        certificate: out.rejected.unwrap_or(t_min).max(t_min),
-                        probes: out.probes,
-                        ratio: Rational::new(3, 2),
-                    },
-                    interrupt,
+                    direct(
+                        ScheduleRepr::Compact(out.schedule),
+                        out.accepted,
+                        out.rejected,
+                        out.probes,
+                    ),
+                    i,
                 )
             }
-            // Class Jumping (splittable, preemptive) walks a jump structure
-            // whose next probe depends on the previous outcome in a way the
-            // wavefront planner cannot enumerate; it stays sequential.
-            _ => self.direct_search_budgeted(ws, budget, trace),
+            Variant::Preemptive => {
+                let (out, i) = preemptive::class_jumping_budgeted_in(ws, self.inst, budget);
+                (
+                    direct(
+                        ScheduleRepr::Explicit(out.schedule),
+                        out.accepted,
+                        out.rejected,
+                        out.probes,
+                    ),
+                    i,
+                )
+            }
+            // Theorem 8's integer bisection parallelizes speculatively.
+            Variant::NonPreemptive => {
+                let (out, i) =
+                    nonpreemptive::three_halves_budgeted_in(ws, self.inst, threads, budget);
+                (
+                    direct(
+                        ScheduleRepr::Explicit(out.schedule),
+                        out.accepted,
+                        out.rejected,
+                        out.probes,
+                    ),
+                    i,
+                )
+            }
         }
     }
 

@@ -12,9 +12,33 @@
 //!   `⌈log(T_min)⌉` probes — Theorem 8;
 //! * Class Jumping (in the per-variant modules) replaces the geometric search
 //!   with a jump-structure search for the splittable and preemptive variants.
+//!
+//! # One ladder
+//!
+//! Both bisections are the same probe ladder: query `t_lo`; if it is
+//! rejected, query `t_hi` (accepted by precondition), then split the bracket
+//! and query the midpoint until the bracket is narrow. The bracket is a
+//! state machine (the rational ε-bracket or the Theorem-8 integer bracket),
+//! and one loop walks it. Every query goes to an *oracle* that charges the
+//! [`SolveBudget`] and answers. There are three oracles:
+//!
+//! * the plain oracle probes;
+//! * the warm oracle answers from a monotonicity memo seeded at a previous
+//!   solve's bracket ([`crate::WarmStart`]), probing only what the memo
+//!   cannot prove;
+//! * the speculative oracle of [`crate::par`] consumes the results of worker
+//!   threads that probed the bisection tree ahead of the walk.
+//!
+//! Each oracle charges one work unit per query, in the same order, so a
+//! ladder stops at the same query under a work limit whichever oracle
+//! answers it. [`epsilon_search_between`] and [`integer_search`] run a
+//! ladder under every setting of a [`SolveConfig`].
 
 use bss_budget::{Interrupt, SolveBudget};
 use bss_rational::{gcd, Rational};
+
+use crate::api::{SolveConfig, WarmStart};
+use crate::workspace::DualWorkspace;
 
 /// Outcome of a dual-approximation search.
 #[derive(Debug, Clone)]
@@ -31,7 +55,86 @@ pub struct SearchOutcome<S> {
     pub probes: usize,
 }
 
-/// The search bracket `[lo, hi]` plus the termination gap, held as plain
+/// Outcome of a probe ladder: the guess bracket, without a schedule.
+///
+/// The ladders probe with the `O(n)`-or-better dual *test* and leave
+/// schedule construction to the caller, who builds **exactly once**, at
+/// `accepted` — the compact-first pipeline never constructs per-probe
+/// schedules that are immediately thrown away.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ProbeOutcome<T> {
+    /// The smallest guess the ladder certified acceptable; a builder run at
+    /// this guess must succeed (the dual algorithms are deterministic in
+    /// `T`).
+    pub accepted: T,
+    /// The largest rejected guess, if any — a certificate that
+    /// `OPT > rejected`.
+    pub rejected: Option<T>,
+    /// Number of dual-test probes performed.
+    pub probes: usize,
+    /// Why the ladder stopped early, if it did. An interrupted ladder stops
+    /// at its current bracket: `accepted` is still a guess the builder is
+    /// guaranteed to realize (the right end, maintained accepted throughout,
+    /// or the precondition seed `t_hi` when nothing was probed yet), and
+    /// `rejected` carries only *genuinely probed* rejections.
+    pub interrupt: Option<Interrupt>,
+}
+
+/// Counters of one ladder besides its outcome: what a warm hint saved and
+/// what speculation cost.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SearchStats {
+    /// Dual probes genuinely evaluated (for a warm ladder: hint seeding plus
+    /// memo misses).
+    pub probes: usize,
+    /// Bisection queries the warm memo answered for free — the cold ladder
+    /// would have probed each of these.
+    pub skipped: usize,
+    /// Of `probes`, how many seeded the warm memo at the hint points.
+    pub seed_probes: usize,
+    /// Whether the warm memo ran (`false` for cold ladders, and when the
+    /// algorithm has no warm form and the solve ran cold).
+    pub warmed: bool,
+    /// Speculative wavefronts published (each costs one probe wall-time
+    /// when every worker has a core).
+    pub rounds: usize,
+    /// Speculative probe slots issued across all wavefronts (committed +
+    /// losers).
+    pub speculated: usize,
+    /// Probes the coordinator recomputed inline because a worker had to
+    /// skip the node (budget trip observed worker-side, or a caught panic).
+    pub inline: usize,
+}
+
+/// The counters [`crate::solve_warm`] reports: a warm solve's
+/// [`SearchStats`].
+pub type WarmStats = SearchStats;
+
+/// The bisection state of a ladder: `lo` rejected, `hi` accepted, and the
+/// midpoint of the last split.
+pub(crate) trait Bisect: Clone {
+    type Guess: Copy + Ord + Send + Sync + core::fmt::Debug;
+    /// Whether the ladder must keep narrowing.
+    fn is_wide(&self) -> bool;
+    /// Computes the midpoint and remembers it for [`Bisect::accept_mid`] /
+    /// [`Bisect::reject_mid`]; `None` when it leaves the `i128` headroom
+    /// (the speculative planner stops there instead of failing).
+    fn try_split(&mut self) -> Option<Self::Guess>;
+    /// The committed split: panics on overflow, as [`Rational`] arithmetic
+    /// does.
+    fn split(&mut self) -> Self::Guess {
+        self.try_split()
+            .expect("Rational overflow in search bracket")
+    }
+    fn accept_mid(&mut self);
+    fn reject_mid(&mut self);
+    fn lo_guess(&self) -> Self::Guess;
+    fn hi_guess(&self) -> Self::Guess;
+    /// A warm start's hint interval in this ladder's guesses.
+    fn hint(warm: &WarmStart) -> (Self::Guess, Self::Guess);
+}
+
+/// The ε-bracket `[lo, hi]` plus the termination gap, held as plain
 /// integers over one shared denominator (a `Guess`-style representation).
 ///
 /// The binary-search loop then needs only integer comparisons and shifts:
@@ -51,13 +154,11 @@ pub(crate) struct Bracket {
 }
 
 impl Bracket {
-    pub(crate) fn new(lo: Rational, hi: Rational, gap: Rational) -> Bracket {
-        Self::try_new(lo, hi, gap).expect("Rational overflow in search bracket")
-    }
-
-    /// [`Bracket::new`] without the overflow panic — the speculative planner
-    /// must not fail on brackets the committed search might never construct.
+    /// The bracket over `[lo, hi]` with absolute termination gap `gap`;
+    /// `None` when the common denominator leaves `i128` (the ladder turns
+    /// that into the overflow panic, after its first probe).
     pub(crate) fn try_new(lo: Rational, hi: Rational, gap: Rational) -> Option<Bracket> {
+        assert!(lo.is_positive() && gap.is_positive() && lo <= hi);
         let den = lcm(lo.denom(), hi.denom()).and_then(|d| lcm(d, gap.denom()))?;
         let scale = |r: Rational| r.numer().checked_mul(den / r.denom());
         Some(Bracket {
@@ -69,22 +170,32 @@ impl Bracket {
         })
     }
 
-    /// `hi - lo > gap` — the loop condition, a pure integer comparison.
-    pub(crate) fn is_wide(&self) -> bool {
+    /// Divides every component by their common gcd to regain headroom;
+    /// `false` when the components share no factor — the exact value
+    /// genuinely leaves `i128`, exactly as plain [`Rational`] arithmetic
+    /// would (callers turn that into the panic or a planning stop).
+    fn renormalize(&mut self) -> bool {
+        let g = gcd(gcd(self.lo, self.hi), gcd(self.gap, self.den));
+        if g <= 1 {
+            return false;
+        }
+        self.lo /= g;
+        self.hi /= g;
+        self.gap /= g;
+        self.den /= g;
+        true
+    }
+}
+
+impl Bisect for Bracket {
+    type Guess = Rational;
+
+    /// `hi - lo > gap` — a pure integer comparison.
+    fn is_wide(&self) -> bool {
         self.hi - self.lo > self.gap
     }
 
-    /// Computes the midpoint, remembers it for [`Bracket::accept_mid`] /
-    /// [`Bracket::reject_mid`], and exposes it as a reduced [`Rational`].
-    pub(crate) fn split(&mut self) -> Rational {
-        self.try_split()
-            .expect("Rational overflow in search bracket")
-    }
-
-    /// [`Bracket::split`] without the overflow panic (again for the
-    /// speculative planner; the committed walk keeps the panicking form so
-    /// its behaviour matches the sequential search exactly).
-    pub(crate) fn try_split(&mut self) -> Option<Rational> {
+    fn try_split(&mut self) -> Option<Rational> {
         loop {
             if let Some(sum) = self.lo.checked_add(self.hi) {
                 if sum % 2 == 0 {
@@ -112,36 +223,24 @@ impl Bracket {
         }
     }
 
-    pub(crate) fn accept_mid(&mut self) {
+    fn accept_mid(&mut self) {
         self.hi = self.mid;
     }
 
-    pub(crate) fn reject_mid(&mut self) {
+    fn reject_mid(&mut self) {
         self.lo = self.mid;
     }
 
-    pub(crate) fn lo_rational(&self) -> Rational {
+    fn lo_guess(&self) -> Rational {
         Rational::new(self.lo, self.den)
     }
 
-    pub(crate) fn hi_rational(&self) -> Rational {
+    fn hi_guess(&self) -> Rational {
         Rational::new(self.hi, self.den)
     }
 
-    /// Divides every component by their common gcd to regain headroom;
-    /// `false` when the components share no factor — the exact value
-    /// genuinely leaves `i128`, exactly as plain [`Rational`] arithmetic
-    /// would (callers turn that into the panic or a planning stop).
-    fn renormalize(&mut self) -> bool {
-        let g = gcd(gcd(self.lo, self.hi), gcd(self.gap, self.den));
-        if g <= 1 {
-            return false;
-        }
-        self.lo /= g;
-        self.hi /= g;
-        self.gap /= g;
-        self.den /= g;
-        true
+    fn hint(warm: &WarmStart) -> (Rational, Rational) {
+        warm.hint()
     }
 }
 
@@ -150,23 +249,263 @@ fn lcm(a: i128, b: i128) -> Option<i128> {
     (a / gcd(a, b)).checked_mul(b)
 }
 
-/// Outcome of a probe-only search: the guess bracket, without a schedule.
+/// The Theorem-8 integer bracket: narrow while `hi - lo > 1`.
+#[derive(Clone)]
+pub(crate) struct IntBracket {
+    lo: u64,
+    hi: u64,
+    mid: u64,
+}
+
+impl IntBracket {
+    pub(crate) fn new(lo: u64, hi: u64) -> Self {
+        assert!(lo <= hi);
+        IntBracket { lo, hi, mid: 0 }
+    }
+}
+
+impl Bisect for IntBracket {
+    type Guess = u64;
+
+    fn is_wide(&self) -> bool {
+        self.hi - self.lo > 1
+    }
+
+    fn try_split(&mut self) -> Option<u64> {
+        self.mid = self.lo + (self.hi - self.lo) / 2;
+        Some(self.mid)
+    }
+
+    fn accept_mid(&mut self) {
+        self.hi = self.mid;
+    }
+
+    fn reject_mid(&mut self) {
+        self.lo = self.mid;
+    }
+
+    fn lo_guess(&self) -> u64 {
+        self.lo
+    }
+
+    fn hi_guess(&self) -> u64 {
+        self.hi
+    }
+
+    fn hint(warm: &WarmStart) -> (u64, u64) {
+        let int = |v: i128| u64::try_from(v.max(0)).unwrap_or(u64::MAX);
+        let (lo, hi) = warm.hint();
+        (int(lo.floor()), int(hi.ceil()))
+    }
+}
+
+/// The answer source of one ladder.
+pub(crate) trait Oracle<B: Bisect> {
+    /// Charges one query to the budget, then answers it; `Err` stops the
+    /// ladder at its current bracket.
+    fn ask(&mut self, t: B::Guess) -> Result<bool, Interrupt>;
+    /// Runs once, after `t_lo` was rejected: the ladder will bisect.
+    fn bisecting(&mut self) {}
+    /// Runs before each split of `bracket`.
+    fn before_split(&mut self, bracket: &B) {
+        let _ = bracket;
+    }
+    /// The counters so far.
+    fn stats(&self) -> SearchStats;
+}
+
+/// The ladder: the one bisection loop every search runs.
 ///
-/// The searches probe with the `O(n)`-or-better dual *test* and leave
-/// schedule construction to the caller, who builds **exactly once**, at
-/// `accepted` — the compact-first pipeline never constructs per-probe
-/// schedules that are immediately thrown away.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ProbeOutcome<T> {
-    /// The smallest guess the search certified acceptable; a builder run at
-    /// this guess must succeed (the dual algorithms are deterministic in
-    /// `T`).
-    pub accepted: T,
-    /// The largest rejected guess, if any — a certificate that
-    /// `OPT > rejected`.
-    pub rejected: Option<T>,
-    /// Number of dual-test probes performed.
-    pub probes: usize,
+/// `bracket` is `None` when its construction overflowed; the ladder then
+/// panics after its first probe, as plain [`Rational`] arithmetic would.
+/// Precondition: `t_hi` is accepted (asserted when probed).
+pub(crate) fn drive<B: Bisect>(
+    t_lo: B::Guess,
+    t_hi: B::Guess,
+    bracket: Option<B>,
+    oracle: &mut impl Oracle<B>,
+) -> ProbeOutcome<B::Guess> {
+    let (accepted, rejected, interrupt) = 'ladder: {
+        match oracle.ask(t_lo) {
+            Err(i) => break 'ladder (t_hi, None, Some(i)),
+            // t_lo <= OPT, so a build here is even a clean ρ-approximation.
+            Ok(true) => break 'ladder (t_lo, None, None),
+            Ok(false) => oracle.bisecting(),
+        }
+        let mut bracket = bracket.expect("Rational overflow in search bracket");
+        match oracle.ask(t_hi) {
+            Err(i) => break 'ladder (t_hi, Some(t_lo), Some(i)),
+            Ok(accepted) => assert!(accepted, "the search's upper seed must be accepted"),
+        }
+        while bracket.is_wide() {
+            oracle.before_split(&bracket);
+            let mid = bracket.split();
+            match oracle.ask(mid) {
+                Ok(true) => bracket.accept_mid(),
+                Ok(false) => bracket.reject_mid(),
+                Err(i) => break 'ladder (bracket.hi_guess(), Some(bracket.lo_guess()), Some(i)),
+            }
+        }
+        (bracket.hi_guess(), Some(bracket.lo_guess()), None)
+    };
+    ProbeOutcome {
+        accepted,
+        rejected,
+        probes: oracle.stats().probes,
+        interrupt,
+    }
+}
+
+/// The plain oracle: charge, then probe.
+pub(crate) struct Plain<'b, F> {
+    budget: &'b SolveBudget,
+    accepts: F,
+    probes: usize,
+}
+
+impl<B: Bisect, F: FnMut(B::Guess) -> bool> Oracle<B> for Plain<'_, F> {
+    fn ask(&mut self, t: B::Guess) -> Result<bool, Interrupt> {
+        self.budget.charge_probe()?;
+        self.probes += 1;
+        Ok((self.accepts)(t))
+    }
+
+    fn stats(&self) -> SearchStats {
+        SearchStats {
+            probes: self.probes,
+            ..SearchStats::default()
+        }
+    }
+}
+
+/// The warm oracle: the plain charge, answered from a monotonicity memo.
+///
+/// A probed acceptance at `t` proves acceptance for every `t' >= t`, a
+/// probed rejection for every `t' <= t` — the same monotonicity of the dual
+/// tests in `T` that makes bisection meaningful in the first place. Memo
+/// answers are therefore implied by *actual probe outcomes on this
+/// instance*, and the ladder replays the cold one query for query: its
+/// outcome is **bit-identical** to the cold ladder's in every field but
+/// `probes`, which counts only dual tests genuinely evaluated. A wrong or
+/// stale hint costs extra probes (at most the two seeds), never a wrong
+/// answer.
+pub(crate) struct Warm<'b, G, F> {
+    budget: &'b SolveBudget,
+    accepts: F,
+    /// The hint points, clamped into the ladder's window.
+    hint: (G, G),
+    proven_accept: Option<G>,
+    proven_reject: Option<G>,
+    stats: SearchStats,
+}
+
+impl<'b, G: Copy + Ord, F: FnMut(G) -> bool> Warm<'b, G, F> {
+    fn new(budget: &'b SolveBudget, hint: (G, G), t_lo: G, t_hi: G, accepts: F) -> Self {
+        let hi = hint.1.min(t_hi).max(t_lo);
+        let lo = hint.0.max(t_lo).min(hi);
+        Warm {
+            budget,
+            accepts,
+            hint: (lo, hi),
+            proven_accept: None,
+            proven_reject: None,
+            stats: SearchStats {
+                warmed: true,
+                ..SearchStats::default()
+            },
+        }
+    }
+
+    fn resolve(&mut self, t: G) -> bool {
+        if self.proven_accept.is_some_and(|pa| t >= pa) {
+            self.stats.skipped += 1;
+            return true;
+        }
+        if self.proven_reject.is_some_and(|pr| t <= pr) {
+            self.stats.skipped += 1;
+            return false;
+        }
+        // Unproven, so `t` lies strictly between the proven points and
+        // tightens whichever side its outcome lands on.
+        self.stats.probes += 1;
+        let ok = (self.accepts)(t);
+        if ok {
+            self.proven_accept = Some(t);
+        } else {
+            self.proven_reject = Some(t);
+        }
+        ok
+    }
+}
+
+impl<B: Bisect, F: FnMut(B::Guess) -> bool> Oracle<B> for Warm<'_, B::Guess, F> {
+    fn ask(&mut self, t: B::Guess) -> Result<bool, Interrupt> {
+        self.budget.charge_probe()?;
+        Ok(self.resolve(t))
+    }
+
+    /// Seeds the memo at the hint points — only once `t_lo` was rejected,
+    /// so an immediate-accept solve stays exactly one probe, hint or no
+    /// hint. The top goes first: when a stale hint's top is rejected, that
+    /// rejection already covers the bottom. Seeds poll the budget but are
+    /// not charged, so a warm ladder stops at exactly the cold ladder's
+    /// query; a tripped poll skips seeding.
+    fn bisecting(&mut self) {
+        let (skipped, probes) = (self.stats.skipped, self.stats.probes);
+        let (lo, hi) = self.hint;
+        if self.budget.poll().is_ok() && self.resolve(hi) && lo < hi && self.budget.poll().is_ok() {
+            self.resolve(lo);
+        }
+        self.stats.seed_probes = self.stats.probes - probes;
+        self.stats.skipped = skipped; // seed dedup is not a bisection saving
+    }
+
+    fn stats(&self) -> SearchStats {
+        self.stats
+    }
+}
+
+/// One ladder's settings: the budget it charges, its speculative threads
+/// and its warm hint.
+#[derive(Clone, Copy)]
+pub(crate) struct Ladder<'b> {
+    pub(crate) budget: &'b SolveBudget,
+    pub(crate) threads: usize,
+    pub(crate) warm: Option<WarmStart>,
+}
+
+/// Runs one ladder through the oracle its settings select: the warm memo
+/// when there is a hint, speculative wavefronts for `threads > 1`, the
+/// plain probe otherwise. A warm ladder runs sequentially at every thread
+/// count: after the seeds its queries are mostly memo answers, which leave
+/// a wavefront nothing to overlap.
+pub(crate) fn run<B, F>(
+    t_lo: B::Guess,
+    t_hi: B::Guess,
+    bracket: Option<B>,
+    ladder: Ladder<'_>,
+    ws: &mut DualWorkspace,
+    probe: &F,
+) -> (ProbeOutcome<B::Guess>, SearchStats)
+where
+    B: Bisect,
+    F: Fn(&mut DualWorkspace, B::Guess) -> bool + Sync,
+{
+    if let Some(warm) = ladder.warm {
+        let mut oracle = Warm::new(ladder.budget, B::hint(&warm), t_lo, t_hi, |t| probe(ws, t));
+        let out = drive(t_lo, t_hi, bracket, &mut oracle);
+        return (out, oracle.stats);
+    }
+    if ladder.threads > 1 {
+        return crate::par::speculate(t_lo, t_hi, bracket, ladder, ws, probe);
+    }
+    let mut oracle = Plain {
+        budget: ladder.budget,
+        accepts: |t| probe(ws, t),
+        probes: 0,
+    };
+    let out = drive(t_lo, t_hi, bracket, &mut oracle);
+    (out, Oracle::<B>::stats(&oracle))
 }
 
 /// Binary search on `[t_min, 2 t_min]` until the bracket is narrower than
@@ -182,353 +521,55 @@ pub fn epsilon_search(
     eps: Rational,
     accepts: impl FnMut(Rational) -> bool,
 ) -> ProbeOutcome<Rational> {
-    assert!(t_min.is_positive() && eps.is_positive());
-    epsilon_search_between(t_min, t_min * 2u64, eps * t_min, accepts)
+    let t_hi = t_min * 2u64;
+    let bracket = Bracket::try_new(t_min, t_hi, eps * t_min);
+    let mut oracle = Plain {
+        budget: &SolveBudget::unlimited(),
+        accepts,
+        probes: 0,
+    };
+    drive(t_min, t_hi, bracket, &mut oracle)
 }
 
-/// Outcome of a budgeted probe search: the (possibly early-stopped) bracket
-/// plus the interrupt that stopped it, if any.
+/// The ε-ladder over an explicit bracket `[t_lo, t_hi]` with absolute
+/// termination gap `gap`, under every setting of `cfg` — for problems
+/// whose guaranteed upper seed is not `2·T_min` (heuristic duals seed with
+/// their own safe guess; see `Problem::search_hi`).
 ///
-/// When `interrupt` is `Some`, the search wound down early; `accepted` is
-/// still a guess the builder is guaranteed to realize (the current right
-/// bracket, maintained accepted throughout), and `rejected` carries only
-/// *genuinely certified* rejections — an interrupted search never
-/// extrapolates its certificate from unprobed guesses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BudgetedProbe<T> {
-    /// The search bracket as of completion or interruption.
-    pub outcome: ProbeOutcome<T>,
-    /// Why the search stopped early, if it did.
-    pub interrupt: Option<Interrupt>,
-}
-
-/// [`epsilon_search`] over an explicit bracket `[t_lo, t_hi]` with absolute
-/// termination gap `gap` — the generic driver for problems whose guaranteed
-/// upper seed is not `2·T_min` (heuristic duals seed with their own safe
-/// guess; see `Problem::search_hi`).
+/// `probe` receives the workspace of whichever thread runs it: `cfg`'s
+/// workspace on the committed path, a worker-owned one for speculative
+/// probes. The outcome is the same at every thread count; a warm hint
+/// changes only `probes`. `cfg.trace` is unused (a ladder builds nothing).
 ///
-/// Preconditions: `t_lo <= t_hi` and `accepts(t_hi)` holds (asserted on the
-/// paths that reach it).
+/// Preconditions: `0 < t_lo <= t_hi`, `gap > 0`, and `t_hi` is accepted
+/// (asserted when probed).
 pub fn epsilon_search_between(
     t_lo: Rational,
     t_hi: Rational,
     gap: Rational,
-    accepts: impl FnMut(Rational) -> bool,
-) -> ProbeOutcome<Rational> {
-    epsilon_search_between_budgeted(t_lo, t_hi, gap, &SolveBudget::unlimited(), accepts).outcome
+    cfg: SolveConfig<'_>,
+    probe: impl Fn(&mut DualWorkspace, Rational) -> bool + Sync,
+) -> (ProbeOutcome<Rational>, SearchStats) {
+    let bracket = Bracket::try_new(t_lo, t_hi, gap);
+    cfg.unpack(|ws, ladder, _| run(t_lo, t_hi, bracket, ladder, ws, &probe))
 }
 
-/// [`epsilon_search_between`] under a cooperative [`SolveBudget`]: one work
-/// unit is charged *before* each probe, and an exceeded budget stops the
-/// search at its current bracket instead of narrowing further.
+/// Exact binary search over integral makespans in `[t_lo, t_hi]` (Theorem
+/// 8), under every setting of `cfg` (see [`epsilon_search_between`]; a warm
+/// hint is rounded outward to integers).
 ///
-/// Under an unlimited budget the probe sequence (and thus the outcome) is
-/// bit-identical to [`epsilon_search_between`] — the plain driver is this
-/// function. On interruption the returned `accepted` is the current right
-/// bracket (the precondition seed `t_hi` when nothing was probed yet), which
-/// the caller's builder is guaranteed to realize.
-pub fn epsilon_search_between_budgeted(
-    t_lo: Rational,
-    t_hi: Rational,
-    gap: Rational,
-    budget: &SolveBudget,
-    mut accepts: impl FnMut(Rational) -> bool,
-) -> BudgetedProbe<Rational> {
-    assert!(t_lo.is_positive() && gap.is_positive() && t_lo <= t_hi);
-    let mut probes = 0;
-    if let Err(i) = budget.charge_probe() {
-        return BudgetedProbe {
-            outcome: ProbeOutcome {
-                accepted: t_hi,
-                rejected: None,
-                probes,
-            },
-            interrupt: Some(i),
-        };
-    }
-    probes = 1;
-    if accepts(t_lo) {
-        // t_lo <= OPT, so a build here is even a clean ρ-approximation.
-        return BudgetedProbe {
-            outcome: ProbeOutcome {
-                accepted: t_lo,
-                rejected: None,
-                probes,
-            },
-            interrupt: None,
-        };
-    }
-    // lo rejected; hi accepted by precondition.
-    let mut bracket = Bracket::new(t_lo, t_hi, gap);
-    if let Err(i) = budget.charge_probe() {
-        return BudgetedProbe {
-            outcome: ProbeOutcome {
-                accepted: t_hi,
-                rejected: Some(t_lo),
-                probes,
-            },
-            interrupt: Some(i),
-        };
-    }
-    probes += 1;
-    assert!(
-        accepts(bracket.hi_rational()),
-        "the search's upper seed must be accepted"
-    );
-    let mut interrupt = None;
-    while bracket.is_wide() {
-        let mid = bracket.split();
-        if let Err(i) = budget.charge_probe() {
-            interrupt = Some(i);
-            break;
-        }
-        probes += 1;
-        if accepts(mid) {
-            bracket.accept_mid();
-        } else {
-            bracket.reject_mid();
-        }
-    }
-    BudgetedProbe {
-        outcome: ProbeOutcome {
-            accepted: bracket.hi_rational(),
-            rejected: Some(bracket.lo_rational()),
-            probes,
-        },
-        interrupt,
-    }
-}
-
-/// Counters of a warm-started search, in the style of
-/// [`crate::ParSearchStats`]: how much probing the previous solve's bracket
-/// saved. The solution's `probes` field carries `probes` (dual tests
-/// genuinely run); `skipped` is the savings.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WarmStats {
-    /// Dual probes genuinely evaluated (hint seeding plus memo misses).
-    pub probes: usize,
-    /// Bisection queries answered from the monotonicity memo for free — the
-    /// cold search would have probed each of these.
-    pub skipped: usize,
-    /// Of `probes`, how many seeded the memo at the hint points.
-    pub seed_probes: usize,
-    /// Whether the warm path ran at all (`false` when the algorithm has no
-    /// warm form and the solve delegated to the cold path).
-    pub warmed: bool,
-}
-
-/// The monotonicity memo of a warm search: a probed acceptance at `t`
-/// proves acceptance for every `t' >= t`, a probed rejection for every
-/// `t' <= t` — the same monotonicity of the dual tests in `T` that makes
-/// bisection meaningful in the first place. Memo answers are therefore
-/// implied by *actual probe outcomes on this instance*: a wrong hint costs
-/// extra probes, never a wrong answer.
-#[derive(Default)]
-struct WarmMemo {
-    proven_accept: Option<Rational>,
-    proven_reject: Option<Rational>,
-    probes: usize,
-    skipped: usize,
-}
-
-impl WarmMemo {
-    fn resolve(&mut self, t: Rational, accepts: &mut impl FnMut(Rational) -> bool) -> bool {
-        if self.proven_accept.is_some_and(|pa| t >= pa) {
-            self.skipped += 1;
-            return true;
-        }
-        if self.proven_reject.is_some_and(|pr| t <= pr) {
-            self.skipped += 1;
-            return false;
-        }
-        self.probes += 1;
-        let ok = accepts(t);
-        if ok {
-            self.proven_accept = Some(self.proven_accept.map_or(t, |pa| pa.min(t)));
-        } else {
-            self.proven_reject = Some(self.proven_reject.map_or(t, |pr| pr.max(t)));
-        }
-        ok
-    }
-}
-
-/// [`epsilon_search_between`] seeded by a previous solve's accepted bracket:
-/// the warm-start re-solve driver for small instance deltas.
-///
-/// The search replays the **exact** cold bisection, answering each query
-/// from a monotonicity memo when its outcome is already proven and probing
-/// otherwise. The memo is seeded by probing the hint points `hint_hi` and
-/// `hint_lo` (the previous bracket widened by the delta's load change,
-/// clamped into `[t_lo, t_hi]`; a rejection at `hint_hi` certifies
-/// rejection at `hint_lo` for free) — but only once the cold flow's first
-/// query has certified a genuine bisection, so an immediate-accept solve
-/// stays exactly one probe, hint or no hint. Because the replayed control flow is the
-/// cold algorithm and memo answers equal what the probe would return (the
-/// memo exploits the dual test's monotonicity: a probed acceptance at `t`
-/// certifies every `t' >= t`, a rejection every `t' <= t`), the returned
-/// bracket — `accepted`, `rejected`, and hence
-/// the built schedule and certificate — is **bit-identical** to
-/// [`epsilon_search_between`] on the same inputs; only the number of probes
-/// actually evaluated differs. A hint that brackets the new optimum tightly
-/// answers most bisection queries from the two seed probes; a useless hint
-/// degrades to the cold probe count plus at most two seeds.
-///
-/// The returned outcome's `probes` field counts genuinely evaluated probes
-/// (equal to `stats.probes`); `stats.skipped` counts the memo's free
-/// answers — the cold search's probe count is `probes + skipped` whenever
-/// the seeds resolved every hint-side query, and at most that otherwise.
-pub fn epsilon_search_between_warm(
-    t_lo: Rational,
-    t_hi: Rational,
-    gap: Rational,
-    hint_lo: Rational,
-    hint_hi: Rational,
-    mut accepts: impl FnMut(Rational) -> bool,
-) -> (ProbeOutcome<Rational>, WarmStats) {
-    assert!(t_lo.is_positive() && gap.is_positive() && t_lo <= t_hi);
-    let mut memo = WarmMemo::default();
-    // Clamp the hints into the search window and order them.
-    let hint_hi = hint_hi.min(t_hi).max(t_lo);
-    let hint_lo = hint_lo.max(t_lo).min(hint_hi);
-    let mut seed_probes = 0;
-
-    // The cold `epsilon_search_between` control flow, query for query, with
-    // `memo.resolve` in place of the raw probe. The first query (`t_lo`)
-    // runs *before* any hint seeding: an immediate-accept solve must stay
-    // exactly one probe, hint or no hint.
-    let outcome = if memo.resolve(t_lo, &mut accepts) {
-        ProbeOutcome {
-            accepted: t_lo,
-            rejected: None,
-            probes: 0,
-        }
-    } else {
-        // A genuine bisection: seed the memo with real probe outcomes at
-        // the hint points. Probing the top first lets a stale hint (new
-        // OPT above the old bracket) skip the bottom seed entirely —
-        // rejection at `hint_hi` already covers it. Hints that clamp onto
-        // `t_lo` resolve from the memo and cost nothing.
-        let skipped_pre = memo.skipped;
-        let probes_pre = memo.probes;
-        if memo.resolve(hint_hi, &mut accepts) && hint_lo < hint_hi {
-            memo.resolve(hint_lo, &mut accepts);
-        }
-        seed_probes = memo.probes - probes_pre;
-        memo.skipped = skipped_pre; // seed dedup is not a bisection saving
-
-        let mut bracket = Bracket::new(t_lo, t_hi, gap);
-        assert!(
-            memo.resolve(bracket.hi_rational(), &mut accepts),
-            "the search's upper seed must be accepted"
-        );
-        while bracket.is_wide() {
-            let mid = bracket.split();
-            if memo.resolve(mid, &mut accepts) {
-                bracket.accept_mid();
-            } else {
-                bracket.reject_mid();
-            }
-        }
-        ProbeOutcome {
-            accepted: bracket.hi_rational(),
-            rejected: Some(bracket.lo_rational()),
-            probes: 0,
-        }
-    };
-    let stats = WarmStats {
-        probes: memo.probes,
-        skipped: memo.skipped,
-        seed_probes,
-        warmed: true,
-    };
-    (
-        ProbeOutcome {
-            probes: memo.probes,
-            ..outcome
-        },
-        stats,
-    )
-}
-
-/// Exact binary search over integral makespans in `[t_lo, t_hi]` (Theorem 8).
-///
-/// Preconditions: `OPT` is an integer with `t_lo <= OPT` and `accepts(t_hi)`
-/// holds. Maintains the invariant "`lo` rejected ⇒ `OPT >= lo + 1`", so the
-/// returned `accepted` is `<= OPT` and a ρ-dual schedule built there a clean
-/// ρ-approximation.
-pub fn integer_search(t_lo: u64, t_hi: u64, accepts: impl FnMut(u64) -> bool) -> ProbeOutcome<u64> {
-    integer_search_budgeted(t_lo, t_hi, &SolveBudget::unlimited(), accepts).outcome
-}
-
-/// [`integer_search`] under a cooperative [`SolveBudget`] — same contract as
-/// [`epsilon_search_between_budgeted`]: bit-identical when unlimited, stops
-/// at the current (still accepted) right bracket on interruption, and the
-/// certificate only ever reflects genuinely probed rejections.
-pub fn integer_search_budgeted(
+/// Preconditions: `OPT` is an integer with `t_lo <= OPT` and `t_hi` is
+/// accepted. Maintains the invariant "`lo` rejected ⇒ `OPT >= lo + 1`", so
+/// the returned `accepted` is `<= OPT` and a ρ-dual schedule built there a
+/// clean ρ-approximation.
+pub fn integer_search(
     t_lo: u64,
     t_hi: u64,
-    budget: &SolveBudget,
-    mut accepts: impl FnMut(u64) -> bool,
-) -> BudgetedProbe<u64> {
-    assert!(t_lo <= t_hi);
-    let mut probes = 0;
-    if let Err(i) = budget.charge_probe() {
-        return BudgetedProbe {
-            outcome: ProbeOutcome {
-                accepted: t_hi,
-                rejected: None,
-                probes,
-            },
-            interrupt: Some(i),
-        };
-    }
-    probes = 1;
-    if accepts(t_lo) {
-        return BudgetedProbe {
-            outcome: ProbeOutcome {
-                accepted: t_lo,
-                rejected: None,
-                probes,
-            },
-            interrupt: None,
-        };
-    }
-    let mut lo = t_lo; // rejected
-    let mut hi = t_hi;
-    if let Err(i) = budget.charge_probe() {
-        return BudgetedProbe {
-            outcome: ProbeOutcome {
-                accepted: hi,
-                rejected: Some(lo),
-                probes,
-            },
-            interrupt: Some(i),
-        };
-    }
-    probes += 1;
-    assert!(accepts(hi), "upper bound must be accepted");
-    let mut interrupt = None;
-    while hi - lo > 1 {
-        let mid = lo + (hi - lo) / 2;
-        if let Err(i) = budget.charge_probe() {
-            interrupt = Some(i);
-            break;
-        }
-        probes += 1;
-        if accepts(mid) {
-            hi = mid;
-        } else {
-            lo = mid;
-        }
-    }
-    BudgetedProbe {
-        outcome: ProbeOutcome {
-            accepted: hi,
-            rejected: Some(lo),
-            probes,
-        },
-        interrupt,
-    }
+    cfg: SolveConfig<'_>,
+    probe: impl Fn(&mut DualWorkspace, u64) -> bool + Sync,
+) -> (ProbeOutcome<u64>, SearchStats) {
+    let bracket = IntBracket::new(t_lo, t_hi);
+    cfg.unpack(|ws, ladder, _| run(t_lo, t_hi, Some(bracket), ladder, ws, &probe))
 }
 
 /// Narrows a right interval `(lo, hi]` (`lo` rejected, `hi` accepted) over a
@@ -541,27 +582,15 @@ pub fn integer_search_budgeted(
 /// closure alone — this function deliberately returns no count of its own,
 /// so the two can never be added together again (the double-counting bug
 /// the repro goldens flushed out).
-pub fn refine_right_interval(
-    lo: Rational,
-    hi: Rational,
-    candidates: &[Rational],
-    mut accepts: impl FnMut(Rational) -> bool,
-) -> (Rational, Rational) {
-    refine_right_interval_opt(lo, hi, candidates, |t| Some(accepts(t)))
-}
-
-/// [`refine_right_interval`] with an *interruptible* probe: a `None` from
-/// `accepts` (the budgeted probes' "budget exceeded" signal) stops the
-/// refinement immediately. The bracket then reflects exactly the probes that
-/// genuinely ran — `lo` moves only past candidates whose rejection the
-/// binary-search invariant certifies (probed, or below a probed rejection),
-/// and `hi` only onto candidates probed accepted — so the right-bracket
-/// invariant (`lo` certified rejected, `hi` accepted) survives interruption.
 ///
-/// When `accepts` never returns `None` the probe sequence and result are
-/// bit-identical to [`refine_right_interval`] (which is implemented on this
-/// driver).
-pub fn refine_right_interval_opt(
+/// The probe is *interruptible*: a `None` from `accepts` (the budgeted
+/// probes' "budget exceeded" signal) stops the refinement immediately. The
+/// bracket then reflects exactly the probes that genuinely ran — `lo`
+/// moves only past candidates whose rejection the binary-search invariant
+/// certifies (probed, or below a probed rejection), and `hi` only onto
+/// candidates probed accepted — so the right-bracket invariant (`lo`
+/// certified rejected, `hi` accepted) survives interruption.
+pub fn refine_right_interval(
     mut lo: Rational,
     mut hi: Rational,
     candidates: &[Rational],
@@ -617,6 +646,31 @@ mod tests {
         move |t| t >= threshold
     }
 
+    /// The cold ε-ladder over `[t_lo, t_hi]` under `budget`.
+    fn cold_in(
+        t_lo: Rational,
+        t_hi: Rational,
+        gap: Rational,
+        budget: &SolveBudget,
+        accepts: impl FnMut(Rational) -> bool,
+    ) -> ProbeOutcome<Rational> {
+        let mut oracle = Plain {
+            budget,
+            accepts,
+            probes: 0,
+        };
+        drive(t_lo, t_hi, Bracket::try_new(t_lo, t_hi, gap), &mut oracle)
+    }
+
+    fn cold(
+        t_lo: Rational,
+        t_hi: Rational,
+        gap: Rational,
+        accepts: impl FnMut(Rational) -> bool,
+    ) -> ProbeOutcome<Rational> {
+        cold_in(t_lo, t_hi, gap, &SolveBudget::unlimited(), accepts)
+    }
+
     #[test]
     fn epsilon_search_converges() {
         // OPT = 137, T_min = 100.
@@ -643,125 +697,193 @@ mod tests {
         assert!(fine.probes <= 16);
     }
 
-    /// A counting fake dual: accepts T >= threshold, tallying evaluations.
-    fn counting_fake(threshold: Rational, count: &mut usize) -> impl FnMut(Rational) -> bool + '_ {
-        move |t| {
-            *count += 1;
-            t >= threshold
-        }
-    }
+    /// The warm oracle's ladder: `(outcome, stats)`.
+    mod warm {
+        use super::*;
 
-    /// The warm search with any hint — tight, loose, stale, inverted —
-    /// returns the cold search's exact bracket.
-    #[test]
-    fn warm_search_bracket_is_bit_identical_to_cold_for_any_hint() {
-        let (t_lo, t_hi, gap) = (r(100), r(200), r(1));
-        for threshold in [101, 137, 150, 199] {
-            let cold = epsilon_search_between(t_lo, t_hi, gap, fake(r(threshold)));
-            for (hint_lo, hint_hi) in [
-                (r(threshold - 1), r(threshold + 1)), // tight and correct
-                (r(100), r(200)),                     // the whole window
-                (r(1), r(5)),                         // stale, below the window
-                (r(500), r(900)),                     // stale, above the window
-                (r(190), r(110)),                     // inverted
-            ] {
-                let (warm, stats) = epsilon_search_between_warm(
-                    t_lo,
-                    t_hi,
-                    gap,
-                    hint_lo,
-                    hint_hi,
-                    fake(r(threshold)),
-                );
-                assert_eq!(warm.accepted, cold.accepted);
-                assert_eq!(warm.rejected, cold.rejected);
-                assert!(stats.warmed);
-                assert_eq!(warm.probes, stats.probes);
-                // A warm solve never probes more than cold + the two seeds.
-                assert!(stats.probes <= cold.probes + 2);
+        fn warm_in(
+            t_lo: Rational,
+            t_hi: Rational,
+            gap: Rational,
+            hint: (Rational, Rational),
+            budget: &SolveBudget,
+            accepts: impl FnMut(Rational) -> bool,
+        ) -> (ProbeOutcome<Rational>, SearchStats) {
+            let mut oracle = Warm::new(budget, hint, t_lo, t_hi, accepts);
+            let out = drive(t_lo, t_hi, Bracket::try_new(t_lo, t_hi, gap), &mut oracle);
+            (out, oracle.stats)
+        }
+
+        fn warm(
+            t_lo: Rational,
+            t_hi: Rational,
+            gap: Rational,
+            hint_lo: Rational,
+            hint_hi: Rational,
+            accepts: impl FnMut(Rational) -> bool,
+        ) -> (ProbeOutcome<Rational>, SearchStats) {
+            let budget = SolveBudget::unlimited();
+            warm_in(t_lo, t_hi, gap, (hint_lo, hint_hi), &budget, accepts)
+        }
+
+        /// A counting fake dual: accepts T >= threshold, tallying
+        /// evaluations.
+        fn counting_fake(
+            threshold: Rational,
+            count: &mut usize,
+        ) -> impl FnMut(Rational) -> bool + '_ {
+            move |t| {
+                *count += 1;
+                t >= threshold
             }
         }
-    }
 
-    /// Immediate-accept replays identically too (accepted = t_lo, no
-    /// rejection certificate).
-    #[test]
-    fn warm_search_immediate_accept_matches_cold() {
-        let cold = epsilon_search_between(r(100), r(200), r(1), fake(r(50)));
-        let (warm, _) =
-            epsilon_search_between_warm(r(100), r(200), r(1), r(90), r(110), fake(r(50)));
-        assert_eq!(warm.accepted, cold.accepted);
-        assert_eq!(warm.rejected, cold.rejected);
-        assert_eq!(warm.accepted, r(100));
-        assert_eq!(warm.rejected, None);
-    }
+        /// The warm search with any hint — tight, loose, stale, inverted —
+        /// returns the cold search's exact bracket.
+        #[test]
+        fn warm_search_bracket_is_bit_identical_to_cold_for_any_hint() {
+            let (t_lo, t_hi, gap) = (r(100), r(200), r(1));
+            for threshold in [101, 137, 150, 199] {
+                let cold = cold(t_lo, t_hi, gap, fake(r(threshold)));
+                for (hint_lo, hint_hi) in [
+                    (r(threshold - 1), r(threshold + 1)), // tight and correct
+                    (r(100), r(200)),                     // the whole window
+                    (r(1), r(5)),                         // stale, below the window
+                    (r(500), r(900)),                     // stale, above the window
+                    (r(190), r(110)),                     // inverted
+                ] {
+                    let (warm, stats) = warm(t_lo, t_hi, gap, hint_lo, hint_hi, fake(r(threshold)));
+                    assert_eq!(warm.accepted, cold.accepted);
+                    assert_eq!(warm.rejected, cold.rejected);
+                    assert!(stats.warmed);
+                    assert_eq!(warm.probes, stats.probes);
+                    // A warm solve never probes more than cold + the two seeds.
+                    assert!(stats.probes <= cold.probes + 2);
+                }
+            }
+        }
 
-    /// A tight hint answers most bisection queries from the two seed
-    /// probes: the savings the online layer is built on.
-    #[test]
-    fn tight_hint_probes_a_fraction_of_cold() {
-        let threshold = r(137);
-        let gap = Rational::new(1, 1 << 20); // deep search: many cold probes
-        let mut cold_evals = 0;
-        let cold = epsilon_search_between(
-            r(100),
-            r(200),
-            gap,
-            counting_fake(threshold, &mut cold_evals),
-        );
-        let mut warm_evals = 0;
-        let (warm, stats) = epsilon_search_between_warm(
-            r(100),
-            r(200),
-            gap,
-            cold.rejected.unwrap(),
-            cold.accepted,
-            counting_fake(threshold, &mut warm_evals),
-        );
-        assert_eq!(warm.accepted, cold.accepted);
-        assert_eq!(warm.rejected, cold.rejected);
-        // The previous bracket is gap-narrow, so the replayed bisection
-        // resolves every query from the memo until it re-enters the hint
-        // interval: only the two seeds plus O(1) boundary probes run.
-        assert_eq!(warm_evals, stats.probes);
-        assert_eq!(stats.seed_probes, 2);
-        assert!(
-            stats.probes <= 4,
-            "expected nearly free replay, ran {} probes",
-            stats.probes
-        );
-        assert!(stats.skipped >= cold.probes - stats.probes);
-        assert!(cold_evals == cold.probes);
-    }
+        /// Immediate-accept replays identically too (accepted = t_lo, no
+        /// rejection certificate).
+        #[test]
+        fn warm_search_immediate_accept_matches_cold() {
+            let cold = cold(r(100), r(200), r(1), fake(r(50)));
+            let (warm, _) = warm(r(100), r(200), r(1), r(90), r(110), fake(r(50)));
+            assert_eq!(warm.accepted, cold.accepted);
+            assert_eq!(warm.rejected, cold.rejected);
+            assert_eq!(warm.accepted, r(100));
+            assert_eq!(warm.rejected, None);
+        }
 
-    /// A wrong hint degrades probe count, never the answer, and is bounded
-    /// by cold + seeds.
-    #[test]
-    fn useless_hint_costs_at_most_the_two_seeds() {
-        let threshold = r(137);
-        let cold = epsilon_search_between(r(100), r(200), r(1), fake(threshold));
-        let (warm, stats) =
-            epsilon_search_between_warm(r(100), r(200), r(1), r(1), r(2), fake(threshold));
-        assert_eq!(warm.accepted, cold.accepted);
-        assert_eq!(warm.rejected, cold.rejected);
-        // Both hints clamp to t_lo = 100, whose rejection the replay's own
-        // first query already proved: the seeds resolve from the memo for
-        // free and the warm search degrades to exactly the cold one.
-        assert_eq!(stats.seed_probes, 0);
-        assert_eq!(stats.probes, cold.probes);
+        /// A tight hint answers most bisection queries from the two seed
+        /// probes: the savings the online layer is built on.
+        #[test]
+        fn tight_hint_probes_a_fraction_of_cold() {
+            let threshold = r(137);
+            let gap = Rational::new(1, 1 << 20); // deep search: many cold probes
+            let mut cold_evals = 0;
+            let cold = cold(
+                r(100),
+                r(200),
+                gap,
+                counting_fake(threshold, &mut cold_evals),
+            );
+            let mut warm_evals = 0;
+            let (warm, stats) = warm(
+                r(100),
+                r(200),
+                gap,
+                cold.rejected.unwrap(),
+                cold.accepted,
+                counting_fake(threshold, &mut warm_evals),
+            );
+            assert_eq!(warm.accepted, cold.accepted);
+            assert_eq!(warm.rejected, cold.rejected);
+            // The previous bracket is gap-narrow, so the replayed bisection
+            // resolves every query from the memo until it re-enters the hint
+            // interval: only the two seeds plus O(1) boundary probes run.
+            assert_eq!(warm_evals, stats.probes);
+            assert_eq!(stats.seed_probes, 2);
+            assert!(
+                stats.probes <= 4,
+                "expected nearly free replay, ran {} probes",
+                stats.probes
+            );
+            assert!(stats.skipped >= cold.probes - stats.probes);
+            assert!(cold_evals == cold.probes);
+        }
+
+        /// A wrong hint degrades probe count, never the answer, and is
+        /// bounded by cold + seeds.
+        #[test]
+        fn useless_hint_costs_at_most_the_two_seeds() {
+            let threshold = r(137);
+            let cold = cold(r(100), r(200), r(1), fake(threshold));
+            let (warm, stats) = warm(r(100), r(200), r(1), r(1), r(2), fake(threshold));
+            assert_eq!(warm.accepted, cold.accepted);
+            assert_eq!(warm.rejected, cold.rejected);
+            // Both hints clamp to t_lo = 100, whose rejection the replay's own
+            // first query already proved: the seeds resolve from the memo for
+            // free and the warm search degrades to exactly the cold one.
+            assert_eq!(stats.seed_probes, 0);
+            assert_eq!(stats.probes, cold.probes);
+        }
+
+        /// The integer ladder takes a warm hint too, rounded outward to
+        /// integers: same bracket as cold, fewer probes.
+        #[test]
+        fn warm_integer_ladder_matches_cold() {
+            let accepts = |_: &mut DualWorkspace, t: u64| t >= 137;
+            let (cold, _) = integer_search(100, 1000, SolveConfig::default(), accepts);
+            let hint = WarmStart {
+                accepted: r(138),
+                certificate: Rational::new(271, 2),
+                widen: Rational::ZERO,
+            };
+            let cfg = SolveConfig {
+                warm: Some(hint),
+                ..SolveConfig::default()
+            };
+            let (warm, stats) = integer_search(100, 1000, cfg, accepts);
+            assert_eq!(warm.accepted, cold.accepted);
+            assert_eq!(warm.rejected, cold.rejected);
+            assert!(stats.warmed);
+            assert_eq!(stats.seed_probes, 2);
+            assert!(stats.probes < cold.probes, "warm {stats:?}, cold {cold:?}");
+        }
+
+        /// Under every work limit the warm ladder stops at the cold ladder's
+        /// query: same bracket, same interrupt, same work charged.
+        #[test]
+        fn warm_ladder_interrupts_where_the_cold_one_does() {
+            let (t_lo, t_hi, gap) = (r(100), r(200), Rational::new(1, 64));
+            let threshold = Rational::new(1371, 10);
+            let full = cold(t_lo, t_hi, gap, fake(threshold));
+            for w in 0..=(full.probes as u64 + 1) {
+                let cold_budget = SolveBudget::unlimited().with_work_limit(w);
+                let cold = cold_in(t_lo, t_hi, gap, &cold_budget, fake(threshold));
+                let warm_budget = SolveBudget::unlimited().with_work_limit(w);
+                let hint = (r(136), r(138));
+                let (warm, _) = warm_in(t_lo, t_hi, gap, hint, &warm_budget, fake(threshold));
+                assert_eq!(warm.accepted, cold.accepted, "w={w}");
+                assert_eq!(warm.rejected, cold.rejected, "w={w}");
+                assert_eq!(warm.interrupt, cold.interrupt, "w={w}");
+                assert_eq!(warm_budget.work_used(), cold_budget.work_used(), "w={w}");
+            }
+        }
     }
 
     #[test]
     fn integer_search_is_exact() {
         let threshold = 137u64;
-        let out = integer_search(100, 200, |t| t >= threshold);
+        let (out, _) = integer_search(100, 200, SolveConfig::default(), |_, t| t >= threshold);
         assert_eq!(out.accepted, 137);
         assert_eq!(out.rejected, Some(136));
     }
 
     #[test]
     fn integer_search_immediate() {
-        let out = integer_search(100, 200, |_| true);
+        let (out, _) = integer_search(100, 200, SolveConfig::default(), |_, _| true);
         assert_eq!(out.accepted, 100);
         assert_eq!(out.rejected, None);
     }
@@ -770,7 +892,7 @@ mod tests {
     fn refine_narrows_to_candidate_free_bracket() {
         let threshold = r(57);
         let cands = vec![r(20), r(40), r(60), r(80)];
-        let accepts = |t: Rational| t >= threshold;
+        let accepts = |t: Rational| Some(t >= threshold);
         let (lo, hi) = refine_right_interval(r(10), r(100), &cands, accepts);
         // No candidate strictly inside (lo, hi); bracket still brackets 57.
         assert_eq!((lo, hi), (r(40), r(60)));
@@ -779,21 +901,21 @@ mod tests {
     #[test]
     fn refine_all_rejected() {
         let cands = vec![r(20), r(40)];
-        let (lo, hi) = refine_right_interval(r(10), r(100), &cands, |t| t >= r(99));
+        let (lo, hi) = refine_right_interval(r(10), r(100), &cands, |t| Some(t >= r(99)));
         assert_eq!((lo, hi), (r(40), r(100)));
     }
 
     #[test]
     fn refine_all_accepted() {
         let cands = vec![r(20), r(40)];
-        let (lo, hi) = refine_right_interval(r(10), r(100), &cands, |t| t >= r(15));
+        let (lo, hi) = refine_right_interval(r(10), r(100), &cands, |t| Some(t >= r(15)));
         assert_eq!((lo, hi), (r(10), r(20)));
     }
 
     #[test]
     fn refine_ignores_outside_candidates() {
         let cands = vec![r(5), r(10), r(50), r(100), r(120)];
-        let (lo, hi) = refine_right_interval(r(10), r(100), &cands, |t| t >= r(60));
+        let (lo, hi) = refine_right_interval(r(10), r(100), &cands, |t| Some(t >= r(60)));
         assert_eq!((lo, hi), (r(50), r(100)));
     }
 }

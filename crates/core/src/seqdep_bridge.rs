@@ -27,10 +27,13 @@ use bss_rational::Rational;
 use bss_schedule::Schedule;
 use bss_seqdep::{solver, SeqDepInstance};
 
-use crate::api::{Algorithm, ScheduleRepr, Solution, SolveError};
-use crate::problem::{solve_problem_budgeted, BssProblem, DirectSolve, Problem};
+use crate::api::{Algorithm, ScheduleRepr, Solution, SolveConfig, SolveError};
+use crate::problem::{
+    epsilon_solve, solve_problem, solve_problem_with_config, BssProblem, DirectSolve, Problem,
+};
+use crate::search::Ladder;
 use crate::workspace::DualWorkspace;
-use crate::{solve_problem, Trace};
+use crate::Trace;
 
 /// A sequence-dependent instance on the unified solve surface.
 #[derive(Debug)]
@@ -67,42 +70,6 @@ impl<'a> SeqDepProblem<'a> {
         let mut out = Schedule::new(self.inst.machines());
         solver::emit_orders(self.inst, orders, &mut out);
         ScheduleRepr::Explicit(out)
-    }
-
-    /// The shared tail of the general-regime direct search: build at the
-    /// accepted guess (falling back to `t_safe` on a defensive rejection)
-    /// and assemble the [`DirectSolve`] — identical for the sequential and
-    /// parallel probe ladders.
-    fn general_direct_finish(
-        &self,
-        ws: &mut DualWorkspace,
-        trace: &mut Trace,
-        eps: Rational,
-        budgeted: crate::search::BudgetedProbe<Rational>,
-    ) -> (DirectSolve, Option<Interrupt>) {
-        let t_min = self.t_min();
-        let out = budgeted.outcome;
-        let (accepted, repr) = match self.build(ws, out.accepted, trace) {
-            Some(r) => (out.accepted, r),
-            None => {
-                let hi = self.t_safe();
-                (
-                    hi,
-                    self.build(ws, hi, trace)
-                        .expect("t_safe is accepted and builds"),
-                )
-            }
-        };
-        (
-            DirectSolve {
-                repr,
-                accepted,
-                certificate: t_min,
-                probes: out.probes,
-                ratio: self.dual_ratio() * (eps + 1u64),
-            },
-            budgeted.interrupt,
-        )
     }
 }
 
@@ -178,24 +145,7 @@ impl Problem for SeqDepProblem<'_> {
         budget: &SolveBudget,
         trace: &mut Trace,
     ) -> (DirectSolve, Option<Interrupt>) {
-        if let Some(reduced) = self.uniform {
-            // Uniform special case: the optima coincide, so Theorem 8's
-            // search on the reduction is a genuine 3/2-approximation here,
-            // rejection certificates included.
-            return BssProblem::new(reduced, bss_instance::Variant::NonPreemptive)
-                .direct_search_budgeted(ws, budget, trace);
-        }
-        // General case: a fine ε-search over the heuristic dual.
-        let t_min = self.t_min();
-        let eps = Rational::new(1, 1024);
-        let budgeted = crate::search::epsilon_search_between_budgeted(
-            t_min,
-            self.search_hi(),
-            eps * t_min,
-            budget,
-            |t| self.probe(ws, t),
-        );
-        self.general_direct_finish(ws, trace, eps, budgeted)
+        self.direct_search_par_budgeted(ws, 1, budget, trace)
     }
 
     fn direct_search_par_budgeted(
@@ -205,28 +155,21 @@ impl Problem for SeqDepProblem<'_> {
         budget: &SolveBudget,
         trace: &mut Trace,
     ) -> (DirectSolve, Option<Interrupt>) {
-        if threads <= 1 {
-            return self.direct_search_budgeted(ws, budget, trace);
-        }
         if let Some(reduced) = self.uniform {
-            // The reduction's Theorem-8 integer bisection goes wide.
+            // Uniform special case: the optima coincide, so Theorem 8's
+            // search on the reduction is a genuine 3/2-approximation here,
+            // rejection certificates included.
             return BssProblem::new(reduced, bss_instance::Variant::NonPreemptive)
                 .direct_search_par_budgeted(ws, threads, budget, trace);
         }
-        // General case: the same fine ε-search, speculative wavefronts on
-        // the heuristic dual (each worker probes on its own workspace).
-        let t_min = self.t_min();
-        let eps = Rational::new(1, 1024);
-        let budgeted = crate::par::epsilon_search_between_par_budgeted(
-            t_min,
-            self.search_hi(),
-            eps * t_min,
-            threads,
+        // General case: a fine ε-search (ε = 2^-10) over the heuristic dual.
+        let ladder = Ladder {
             budget,
-            ws,
-            |w, t| self.probe(w, t),
-        );
-        self.general_direct_finish(ws, trace, eps, budgeted)
+            threads,
+            warm: None,
+        };
+        let (d, interrupt, _) = epsilon_solve(self, ws, 10, ladder, trace);
+        (d, interrupt)
     }
 
     fn exact_oracle(&self) -> Option<bss_exact::ExactSolve> {
@@ -264,77 +207,21 @@ pub fn solve_seqdep_with(
     solve_problem(ws, &SeqDepProblem::new(inst), algo, &mut Trace::disabled())
 }
 
-/// [`solve_seqdep`] under a [`SolveBudget`] at the safe API boundary:
-/// interrupts degrade gracefully (see [`crate::Completion`]), panics
-/// surface as typed [`SolveError`]s.
+/// [`solve_seqdep`] under every setting of `cfg`, at the safe API boundary
+/// (see [`crate::solve_with_config`]): interrupts degrade gracefully,
+/// panics surface as typed [`SolveError`]s. With `threads > 1` the uniform
+/// regime parallelizes the reduction's Theorem-8 integer search, the
+/// general regime the heuristic dual's ε-search.
 ///
 /// # Errors
 /// [`SolveError`] when the solver panicked; interruption is **not** an
 /// error.
-pub fn solve_seqdep_budgeted(
+pub fn solve_seqdep_with_config(
     inst: &SeqDepInstance,
     algo: Algorithm,
-    budget: &SolveBudget,
+    cfg: SolveConfig<'_>,
 ) -> Result<Solution, SolveError> {
-    solve_seqdep_budgeted_with(&mut DualWorkspace::new(), inst, algo, budget)
-}
-
-/// [`solve_seqdep_budgeted`] on a reusable workspace (reset automatically
-/// if a panic is caught, so it stays safe to reuse).
-///
-/// # Errors
-/// [`SolveError`] when the solver panicked; interruption is **not** an
-/// error.
-pub fn solve_seqdep_budgeted_with(
-    ws: &mut DualWorkspace,
-    inst: &SeqDepInstance,
-    algo: Algorithm,
-    budget: &SolveBudget,
-) -> Result<Solution, SolveError> {
-    solve_problem_budgeted(
-        ws,
-        &SeqDepProblem::new(inst),
-        algo,
-        budget,
-        &mut Trace::disabled(),
-    )
-}
-
-/// [`solve_seqdep`] with `threads` threads of speculative parallelism on
-/// the probe ladders (bit-identical to [`solve_seqdep`] at every thread
-/// count; see [`crate::par`]). The uniform regime parallelizes the
-/// reduction's Theorem-8 integer search; the general regime the heuristic
-/// dual's ε-search.
-#[must_use]
-pub fn solve_seqdep_par(inst: &SeqDepInstance, algo: Algorithm, threads: usize) -> Solution {
-    crate::problem::solve_problem_par(
-        &mut DualWorkspace::new(),
-        &SeqDepProblem::new(inst),
-        algo,
-        threads,
-        &mut Trace::disabled(),
-    )
-}
-
-/// [`solve_seqdep_budgeted`] with speculative parallel probing.
-///
-/// # Errors
-/// [`SolveError`] when the solver panicked; interruption is **not** an
-/// error.
-pub fn solve_seqdep_par_budgeted(
-    inst: &SeqDepInstance,
-    algo: Algorithm,
-    threads: usize,
-    budget: &SolveBudget,
-) -> Result<Solution, SolveError> {
-    crate::problem::solve_problem_par_budgeted(
-        &mut DualWorkspace::new(),
-        &SeqDepProblem::new(inst),
-        algo,
-        threads,
-        budget,
-        &mut Trace::disabled(),
-    )
+    solve_problem_with_config(&SeqDepProblem::new(inst), algo, cfg)
 }
 
 #[cfg(test)]

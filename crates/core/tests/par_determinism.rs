@@ -9,15 +9,20 @@
 //! every work limit. These properties sweep random instances, algorithms,
 //! thread counts and budget cut points to hold that line.
 //!
+//! The same sweep pins the warm-start ladder to the cold one: under every
+//! work limit a warm solve matches the cold solve in every field but
+//! `probes` (the budget charges bisection queries, memo answers included),
+//! and warm solves match across thread counts.
+//!
 //! Case count scales with `BSS_PROPTEST_CASES` (the nightly CI raises it);
 //! `BSS_PAR_THREADS=N` restricts the thread sweep to `{N}` so CI can pin
 //! specific counts per job.
 
 use bss_budget::SolveBudget;
-use bss_core::search::{epsilon_search_between_budgeted, integer_search_budgeted};
+use bss_core::search::{epsilon_search_between, integer_search};
 use bss_core::{
-    epsilon_search_between_par_budgeted, integer_search_par_budgeted, solve_budgeted_with,
-    solve_par_budgeted_with, solve_with, Algorithm, BssProblem, DualWorkspace, Problem, Solution,
+    solve_with, solve_with_config, Algorithm, BssProblem, DualWorkspace, Problem, Solution,
+    SolveConfig, WarmStart,
 };
 use bss_instance::{LowerBounds, Variant};
 use proptest::prelude::*;
@@ -42,12 +47,27 @@ fn algorithm(idx: u8, eps_log2: u32) -> Algorithm {
     }
 }
 
+/// A configuration on `ws` with `threads` threads under `budget`.
+fn cfg<'a>(ws: &'a mut DualWorkspace, threads: usize, budget: &'a SolveBudget) -> SolveConfig<'a> {
+    SolveConfig {
+        workspace: Some(ws),
+        budget: Some(budget),
+        threads,
+        ..SolveConfig::default()
+    }
+}
+
 fn assert_solutions_identical(label: &str, a: &Solution, b: &Solution) {
+    assert_eq!(a.probes, b.probes, "{label}: probes");
+    assert_same_but_probes(label, a, b);
+}
+
+/// Bit-identity in every field but `probes` — what a warm start promises.
+fn assert_same_but_probes(label: &str, a: &Solution, b: &Solution) {
     assert_eq!(a.makespan, b.makespan, "{label}: makespan");
     assert_eq!(a.accepted, b.accepted, "{label}: accepted");
     assert_eq!(a.ratio_bound, b.ratio_bound, "{label}: ratio_bound");
     assert_eq!(a.certificate, b.certificate, "{label}: certificate");
-    assert_eq!(a.probes, b.probes, "{label}: probes");
     assert_eq!(a.completion, b.completion, "{label}: completion");
     assert_eq!(
         a.schedule().placements(),
@@ -59,8 +79,8 @@ fn assert_solutions_identical(label: &str, a: &Solution, b: &Solution) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Full-solve bit-identity: `solve_par` ≡ `solve` for every variant,
-    /// search-bearing algorithm and thread count.
+    /// Full-solve bit-identity: a solve on `threads` threads ≡ `solve` for
+    /// every variant, search-bearing algorithm and thread count.
     #[test]
     fn solve_par_is_bit_identical_to_solve(
         n in 20usize..70,
@@ -77,15 +97,9 @@ proptest! {
         let mut ws = DualWorkspace::new();
         let want = solve_with(&mut ws, &inst, variant, algo);
         for threads in thread_counts() {
-            let got = solve_par_budgeted_with(
-                &mut ws,
-                &inst,
-                variant,
-                algo,
-                threads,
-                &SolveBudget::unlimited(),
-            )
-            .expect("unbudgeted solves do not panic");
+            let unlimited = SolveBudget::unlimited();
+            let got = solve_with_config(&inst, variant, algo, cfg(&mut ws, threads, &unlimited))
+                .expect("unbudgeted solves do not panic");
             assert_solutions_identical(
                 &format!("{variant} {algo:?} t={threads} seed={seed}"),
                 &got,
@@ -114,14 +128,13 @@ proptest! {
         let full = solve_with(&mut ws, &inst, variant, algo);
         for w in 0..=(full.probes as u64 + 1) {
             let seq_budget = SolveBudget::unlimited().with_work_limit(w);
-            let want = solve_budgeted_with(&mut ws, &inst, variant, algo, &seq_budget)
+            let want = solve_with_config(&inst, variant, algo, cfg(&mut ws, 1, &seq_budget))
                 .expect("budget expiry degrades, never errors");
             for threads in thread_counts() {
                 let par_budget = SolveBudget::unlimited().with_work_limit(w);
-                let got = solve_par_budgeted_with(
-                    &mut ws, &inst, variant, algo, threads, &par_budget,
-                )
-                .expect("budget expiry degrades, never errors");
+                let par = cfg(&mut ws, threads, &par_budget);
+                let got = solve_with_config(&inst, variant, algo, par)
+                    .expect("budget expiry degrades, never errors");
                 assert_solutions_identical(
                     &format!("{variant} w={w} t={threads} seed={seed}"),
                     &got,
@@ -157,24 +170,15 @@ proptest! {
         let t_hi = problem.search_hi();
         let gap = t_min / (1u64 << eps_log2);
         let mut ws = DualWorkspace::new();
-        let want = {
-            let (ws, problem) = (&mut ws, &problem);
-            epsilon_search_between_budgeted(
-                t_min,
-                t_hi,
-                gap,
-                &SolveBudget::unlimited(),
-                |t| problem.probe(ws, t),
-            )
-        };
+        let unlimited = SolveBudget::unlimited();
+        let seq = cfg(&mut ws, 1, &unlimited);
+        let (want, _) = epsilon_search_between(t_min, t_hi, gap, seq, |w, t| problem.probe(w, t));
         for threads in thread_counts() {
-            let got = epsilon_search_between_par_budgeted(
+            let (got, _) = epsilon_search_between(
                 t_min,
                 t_hi,
                 gap,
-                threads,
-                &SolveBudget::unlimited(),
-                &mut ws,
+                cfg(&mut ws, threads, &unlimited),
                 |w, t| problem.probe(w, t),
             );
             prop_assert_eq!(got, want, "t={} seed={}", threads, seed);
@@ -194,19 +198,85 @@ proptest! {
         let t_min = LowerBounds::of(&inst)
             .tmin(Variant::NonPreemptive)
             .ceil() as u64;
-        let accepts = |t: u64| bss_core::nonpreemptive::accepts(&inst, t);
-        let want = integer_search_budgeted(t_min, 2 * t_min, &SolveBudget::unlimited(), accepts);
+        let accepts = |_: &mut DualWorkspace, t: u64| bss_core::nonpreemptive::accepts(&inst, t);
+        let unlimited = SolveBudget::unlimited();
         let mut ws = DualWorkspace::new();
+        let (want, _) = integer_search(t_min, 2 * t_min, cfg(&mut ws, 1, &unlimited), accepts);
         for threads in thread_counts() {
-            let got = integer_search_par_budgeted(
+            let (got, _) = integer_search(
                 t_min,
                 2 * t_min,
-                threads,
-                &SolveBudget::unlimited(),
-                &mut ws,
+                cfg(&mut ws, threads, &unlimited),
                 |_, t| bss_core::nonpreemptive::accepts(&inst, t),
             );
             prop_assert_eq!(got, want, "t={} seed={}", threads, seed);
+        }
+    }
+
+    /// Warm with a budget: for every work limit `w` up to the cold solve's
+    /// probe count, the warm re-solve after a one-job delta matches the
+    /// cold solve under the same limit in every field but `probes`, with
+    /// the same work charged — and warm solves at every thread count match
+    /// the sequential warm solve bit for bit.
+    #[test]
+    fn warm_under_a_work_limit_matches_cold_under_it(
+        n in 20usize..60,
+        c in 2usize..7,
+        m in 2usize..5,
+        seed in 0u64..10_000,
+        eps_log2 in 3u32..9,
+        variant_idx in 0usize..3,
+    ) {
+        use bss_instance::{Delta, IncrementalInstance};
+
+        let base = bss_gen::uniform(n, c, m, seed);
+        let variant = Variant::ALL[variant_idx];
+        let algo = Algorithm::EpsilonSearch { eps_log2 };
+        let mut ws = DualWorkspace::new();
+        let mut inc = IncrementalInstance::new(&base);
+        let old_load = u128::from(inc.total_load_once());
+        inc.apply(Delta::AddJob { class: 0, time: 1 + seed % 40 }).unwrap();
+        let inst = inc.materialize();
+        let prev = solve_with(&mut ws, &base, variant, algo);
+        let hint = WarmStart::of(&prev).widen_by_load_shift(
+            old_load,
+            u128::from(inc.total_load_once()),
+            inst.machines(),
+        );
+        let cold = solve_with(&mut ws, &inst, variant, algo);
+        for w in 0..=(cold.probes as u64 + 1) {
+            let cold_budget = SolveBudget::unlimited().with_work_limit(w);
+            let want = solve_with_config(&inst, variant, algo, cfg(&mut ws, 1, &cold_budget))
+                .expect("budget expiry degrades, never errors");
+            let warm_budget = SolveBudget::unlimited().with_work_limit(w);
+            let warm = SolveConfig {
+                warm: Some(hint),
+                ..cfg(&mut ws, 1, &warm_budget)
+            };
+            let got = solve_with_config(&inst, variant, algo, warm)
+                .expect("budget expiry degrades, never errors");
+            assert_same_but_probes(&format!("{variant} w={w} seed={seed}"), &got, &want);
+            prop_assert_eq!(
+                warm_budget.work_used(),
+                cold_budget.work_used(),
+                "warm work accounting diverged at w={}",
+                w
+            );
+            for threads in [2, 8] {
+                let par_budget = SolveBudget::unlimited().with_work_limit(w);
+                let par = SolveConfig {
+                    warm: Some(hint),
+                    ..cfg(&mut ws, threads, &par_budget)
+                };
+                let par = solve_with_config(&inst, variant, algo, par)
+                    .expect("budget expiry degrades, never errors");
+                assert_solutions_identical(
+                    &format!("warm {variant} w={w} t={threads} seed={seed}"),
+                    &par,
+                    &got,
+                );
+                prop_assert_eq!(par_budget.work_used(), warm_budget.work_used());
+            }
         }
     }
 }

@@ -12,7 +12,10 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use bss_core::{nonpreemptive, preemptive, splittable, Algorithm, DualWorkspace, Trace};
+use bss_core::{
+    nonpreemptive, preemptive, splittable, Algorithm, BssProblem, DualWorkspace, Problem,
+    SolveConfig, Trace, WarmStart,
+};
 use bss_instance::{Instance, LowerBounds, Variant};
 use bss_rational::Rational;
 use bss_schedule::{CompactSchedule, Schedule};
@@ -268,29 +271,65 @@ fn warm_seqdep_solves_allocate_only_output(ws: &mut DualWorkspace) {
     );
 }
 
-/// The full `solve_with` path (search + build): warm allocations are bounded
-/// by the output schedule's own storage plus a small constant — no
-/// per-probe or per-build `O(n)` buffers survive anywhere in the pipeline.
+/// The full `solve_with` path (search + build) for the direct searches and
+/// the ε-ladder, plus a warm re-solve through `solve_with_config`: a solve
+/// allocates exactly what one build at its accepted guess allocates, and
+/// that is bounded by the output schedule's own storage plus a small
+/// constant. No per-probe or per-build `O(n)` buffer survives anywhere in
+/// the pipeline, and the ladder's oracles (plain probe and warm memo)
+/// allocate nothing: a boxed oracle or a growing memo fails here.
 fn warm_solves_allocate_only_output(inst: &Instance, ws: &mut DualWorkspace) {
     for variant in Variant::ALL {
-        // Warm-up solve grows the search scratch to steady state.
-        let _ = bss_core::solve_with(ws, inst, variant, Algorithm::ThreeHalves);
+        for algo in [
+            Algorithm::ThreeHalves,
+            Algorithm::EpsilonSearch { eps_log2: 10 },
+        ] {
+            let label = format!("{variant} {algo:?}");
+            // Warm-up solve grows the search scratch to steady state.
+            let _ = bss_core::solve_with(ws, inst, variant, algo);
 
-        let before = allocations();
-        let sol = bss_core::solve_with(ws, inst, variant, Algorithm::ThreeHalves);
-        let delta = allocations() - before;
-        // Output storage: a compact schedule allocates one item vector per
-        // group plus the group list; an explicit schedule grows its
-        // placement vector by doubling (≤ log2(P) + 1 reallocations). The
-        // slack of 64 covers the SearchOutcome/Solution scaffolding without
-        // leaving room for any O(n) per-solve buffer (n = 2000 here).
-        let output_bound = 64
-            + sol
-                .compact()
-                .map_or(0, |c| (c.groups().len() + c.stored_items()) as u64);
-        assert!(
-            delta <= output_bound,
-            "warm {variant} solve allocated {delta} times (bound {output_bound})"
-        );
+            let before = allocations();
+            let sol = bss_core::solve_with(ws, inst, variant, algo);
+            let cold = allocations() - before;
+            assert_output_bound(&label, &sol, cold);
+
+            let warm = SolveConfig {
+                workspace: Some(&mut *ws),
+                warm: Some(WarmStart::of(&sol)),
+                ..SolveConfig::default()
+            };
+            let before = allocations();
+            let resolved = bss_core::solve_with_config(inst, variant, algo, warm)
+                .expect("unbudgeted solves do not panic");
+            let warm = allocations() - before;
+
+            let problem = BssProblem::new(inst, variant);
+            let before = allocations();
+            let built = problem.build(ws, sol.accepted, &mut Trace::disabled());
+            let build = allocations() - before;
+            assert!(built.is_some(), "{label}: the accepted guess builds");
+            assert_eq!(cold, build, "{label}: the solve allocated beyond its build");
+            assert_eq!(
+                warm, build,
+                "{label}: the warm re-solve allocated beyond its build"
+            );
+            assert_eq!(resolved.accepted, sol.accepted, "{label}: warm ≡ cold");
+        }
     }
+}
+
+/// Output storage: a compact schedule allocates one item vector per group
+/// plus the group list; an explicit schedule grows its placement vector by
+/// doubling (≤ log2(P) + 1 reallocations). The slack of 64 covers the
+/// SearchOutcome/Solution scaffolding without leaving room for any O(n)
+/// per-solve buffer (n = 2000 here).
+fn assert_output_bound(label: &str, sol: &bss_core::Solution, delta: u64) {
+    let output_bound = 64
+        + sol
+            .compact()
+            .map_or(0, |c| (c.groups().len() + c.stored_items()) as u64);
+    assert!(
+        delta <= output_bound,
+        "warm {label} solve allocated {delta} times (bound {output_bound})"
+    );
 }

@@ -16,8 +16,8 @@
 //! Guarantees:
 //!
 //! * **Bit-identity** — each item's result is exactly what
-//!   [`bss_core::solve_budgeted_with`] returns for it, at every thread
-//!   count. Parallelism buys throughput, never different answers.
+//!   [`bss_core::solve_with_config`] returns for it on a workspace under
+//!   the same budget, at every thread count. Parallelism buys throughput, never different answers.
 //! * **Per-item isolation** — a panicking solve (a bug, an overflow, an
 //!   injected chaos fault) comes back as that item's typed
 //!   [`SolveError`]; its workspace is reset and the rest of the batch is
@@ -34,9 +34,26 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use bss_budget::{Interrupt, SolveBudget};
-use bss_core::{solve_budgeted_with, Algorithm, DualWorkspace, Solution, SolveError};
+use bss_core::{solve_with_config, Algorithm, DualWorkspace, Solution, SolveConfig, SolveError};
 use bss_instance::{Instance, Variant};
 use bss_report::chunk_plan;
+
+/// One item's solve: [`solve_with_config`] on the worker's workspace under
+/// `budget` (panics isolated, the workspace reset after one).
+fn solve_in(
+    ws: &mut DualWorkspace,
+    inst: &Instance,
+    variant: Variant,
+    algo: Algorithm,
+    budget: &SolveBudget,
+) -> Result<Solution, SolveError> {
+    let cfg = SolveConfig {
+        workspace: Some(ws),
+        budget: Some(budget),
+        ..SolveConfig::default()
+    };
+    solve_with_config(inst, variant, algo, cfg)
+}
 
 /// The outcome of [`SolvePool::solve_batch_budgeted`]: one slot per input
 /// item, in input order.
@@ -100,7 +117,7 @@ impl SolvePool {
     /// Solves every instance under an unlimited budget.
     ///
     /// Per item, the result is bit-identical to
-    /// [`bss_core::solve_budgeted_with`] (and hence, on `Ok`, to
+    /// [`bss_core::solve_with_config`] (and hence, on `Ok`, to
     /// [`bss_core::solve_with`]) at every thread count. A panicking item
     /// comes back as its own `Err` without disturbing its neighbours.
     pub fn solve_batch(
@@ -125,7 +142,7 @@ impl SolvePool {
     /// [`BatchOutcome::interrupt`]. An item *in flight* when the budget
     /// expires degrades gracefully instead (its solution is returned with
     /// the appropriate [`Completion`](bss_core::Completion)), exactly as a
-    /// standalone [`solve_budgeted_with`] would.
+    /// standalone [`solve_with_config`] would.
     pub fn solve_batch_budgeted(
         &mut self,
         insts: &[Instance],
@@ -150,8 +167,7 @@ impl SolvePool {
                 if interrupt.is_none() {
                     match budget.poll() {
                         Ok(()) => {
-                            results
-                                .push(Some(solve_budgeted_with(ws, inst, variant, algo, budget)));
+                            results.push(Some(solve_in(ws, inst, variant, algo, budget)));
                             continue;
                         }
                         Err(i) => interrupt = Some(i),
@@ -217,13 +233,7 @@ impl SolvePool {
                         // Panics are isolated one level down (the budgeted
                         // driver catches, resets `ws`, returns `Err`), so a
                         // failing item never takes the worker out.
-                        *slot = Some(solve_budgeted_with(
-                            ws,
-                            &insts[base + off],
-                            variant,
-                            algo,
-                            budget,
-                        ));
+                        *slot = Some(solve_in(ws, &insts[base + off], variant, algo, budget));
                     }
                 });
             }
@@ -243,7 +253,7 @@ impl SolvePool {
     /// arrived together are solved together across the pool (micro-batching)
     /// while each keeps its own deadline. Items without a budget run
     /// unlimited. Per item the result is bit-identical to a standalone
-    /// [`bss_core::solve_budgeted_with`] under the same budget, at every
+    /// [`bss_core::solve_with_config`] under the same budget, at every
     /// thread count, and a panicking item is isolated exactly as in
     /// [`SolvePool::solve_batch`].
     ///
@@ -258,7 +268,7 @@ impl SolvePool {
         let unlimited = SolveBudget::unlimited();
         let solve_one = |ws: &mut DualWorkspace, item: &SolveItem<'_>| {
             let budget = item.budget.unwrap_or(&unlimited);
-            solve_budgeted_with(ws, item.instance, item.variant, item.algo, budget)
+            solve_in(ws, item.instance, item.variant, item.algo, budget)
         };
         let plan = chunk_plan(n, self.threads);
         self.ensure_workspaces(plan.workers);

@@ -349,8 +349,16 @@ mod tests {
         // A work budget of 0 forces a degraded completion.
         let budget = SolveBudget::unlimited().with_work_limit(0);
         let degraded = Arc::new(
-            bss_core::solve_budgeted(&i, Variant::NonPreemptive, Algorithm::ThreeHalves, &budget)
-                .expect("budgeted solve returns a degraded solution, not an error"),
+            bss_core::solve_with_config(
+                &i,
+                Variant::NonPreemptive,
+                Algorithm::ThreeHalves,
+                bss_core::SolveConfig {
+                    budget: Some(&budget),
+                    ..bss_core::SolveConfig::default()
+                },
+            )
+            .expect("budgeted solve returns a degraded solution, not an error"),
         );
         assert_eq!(
             degraded.completion,

@@ -34,7 +34,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use bss_core::{solve_warm_with, solve_with, Algorithm, DualWorkspace, SolveBudget, WarmStart};
+use bss_core::{solve_with_config, Algorithm, DualWorkspace, SolveBudget, SolveConfig, WarmStart};
 use bss_instance::{IncrementalInstance, Variant};
 use bss_json::frame::{read_frame, write_frame, FrameError};
 use bss_json::ParseLimits;
@@ -531,16 +531,24 @@ fn resolve_session(
             solution: WireSolution::of(&sol, want_schedule),
         };
     }
-    let sol = match state.prev.take() {
-        Some((hint, prev_load)) => {
-            let hint = hint.widen_by_load_shift(
-                u128::from(prev_load),
-                u128::from(load),
-                instance.machines(),
-            );
-            solve_warm_with(&mut state.ws, &instance, state.variant, state.algo, &hint).0
+    let warm = state.prev.take().map(|(hint, prev_load)| {
+        hint.widen_by_load_shift(u128::from(prev_load), u128::from(load), instance.machines())
+    });
+    let cfg = SolveConfig {
+        workspace: Some(&mut state.ws),
+        warm,
+        ..SolveConfig::default()
+    };
+    let sol = match solve_with_config(&instance, state.variant, state.algo, cfg) {
+        Ok(sol) => sol,
+        Err(err) => {
+            shared.errors.fetch_add(1, Ordering::Relaxed);
+            return Response::Error {
+                id,
+                code: ErrorCode::Internal,
+                message: format!("solve failed: {err}"),
+            };
         }
-        None => solve_with(&mut state.ws, &instance, state.variant, state.algo),
     };
     shared.solved.fetch_add(1, Ordering::Relaxed);
     let sol = Arc::new(sol);

@@ -345,11 +345,14 @@ fn work_budget_degrades_like_the_local_budgeted_solver() {
     // Work budgets are deterministic (no wall clock): the remote degraded
     // result must be bit-identical to the local budgeted solve.
     let budget = bss_core::SolveBudget::unlimited().with_work_limit(0);
-    let local = bss_core::solve_budgeted(
+    let local = bss_core::solve_with_config(
         &instance,
         Variant::NonPreemptive,
         Algorithm::ThreeHalves,
-        &budget,
+        bss_core::SolveConfig {
+            budget: Some(&budget),
+            ..bss_core::SolveConfig::default()
+        },
     )
     .unwrap();
     assert_eq!(

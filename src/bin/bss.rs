@@ -303,11 +303,13 @@ fn cmd_solve(args: &[String]) -> Result<(), String> {
             let budget = parse_budget(args)?;
             let threads = parse_threads(args)?;
             let start = std::time::Instant::now();
-            let sol = match &budget {
-                Some(b) => solve_par_budgeted(&inst, variant, algo, threads, b)
-                    .map_err(|e| format!("solve failed: {e}"))?,
-                None => solve_par(&inst, variant, algo, threads),
+            let cfg = SolveConfig {
+                budget: budget.as_ref(),
+                threads,
+                ..SolveConfig::default()
             };
+            let sol = solve_with_config(&inst, variant, algo, cfg)
+                .map_err(|e| format!("solve failed: {e}"))?;
             let elapsed = start.elapsed();
             let violations = validate(sol.schedule(), &inst, variant);
             if !violations.is_empty() {
@@ -337,11 +339,13 @@ fn cmd_solve_seqdep(path: &str, algo: Algorithm, args: &[String]) -> Result<(), 
     let budget = parse_budget(args)?;
     let threads = parse_threads(args)?;
     let start = std::time::Instant::now();
-    let sol = match &budget {
-        Some(b) => batch_setup_scheduling::core::solve_seqdep_par_budgeted(&inst, algo, threads, b)
-            .map_err(|e| format!("solve failed: {e}"))?,
-        None => batch_setup_scheduling::core::solve_seqdep_par(&inst, algo, threads),
+    let cfg = SolveConfig {
+        budget: budget.as_ref(),
+        threads,
+        ..SolveConfig::default()
     };
+    let sol =
+        solve_seqdep_with_config(&inst, algo, cfg).map_err(|e| format!("solve failed: {e}"))?;
     let elapsed = start.elapsed();
     match problem.uniform_reduction() {
         Some(reduced) => {

@@ -63,10 +63,10 @@ pub use bss_wrap as wrap;
 /// Most-used items in one import.
 pub mod prelude {
     pub use bss_core::{
-        solve, solve_budgeted, solve_par, solve_par_budgeted, solve_problem, solve_seqdep,
-        solve_seqdep_budgeted, solve_seqdep_par, solve_seqdep_par_budgeted, solve_seqdep_with,
-        solve_with, Algorithm, BssProblem, CancelToken, Completion, DualWorkspace, Interrupt,
-        Problem, ScheduleRepr, SeqDepProblem, Solution, SolveBudget, SolveError,
+        solve, solve_problem, solve_problem_with_config, solve_seqdep, solve_seqdep_with,
+        solve_seqdep_with_config, solve_with, solve_with_config, Algorithm, BssProblem,
+        CancelToken, Completion, DualWorkspace, Interrupt, Problem, ScheduleRepr, SeqDepProblem,
+        Solution, SolveBudget, SolveConfig, SolveError, WarmStart,
     };
     pub use bss_instance::{ClassId, Instance, InstanceBuilder, Job, JobId, LowerBounds, Variant};
     pub use bss_par::{BatchOutcome, SolvePool};

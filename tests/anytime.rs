@@ -71,7 +71,7 @@ fn unlimited_budget_is_bit_identical_to_plain_solve() {
             for algo in ALGOS {
                 let label = format!("{name}/{variant}/{algo:?}");
                 let plain = solve(&inst, variant, algo);
-                let budgeted = solve_budgeted(&inst, variant, algo, &SolveBudget::unlimited())
+                let budgeted = solve_with_config(&inst, variant, algo, SolveConfig::default())
                     .expect("unlimited budget cannot fail");
                 assert_eq!(budgeted.completion, Completion::Full, "{label}");
                 assert_identical(&label, &budgeted, &plain);
@@ -89,8 +89,16 @@ fn pre_cancelled_solve_degrades_to_a_valid_fallback() {
             for algo in ALGOS {
                 let label = format!("{name}/{variant}/{algo:?}");
                 let budget = SolveBudget::unlimited().with_cancel(&token);
-                let sol = solve_budgeted(&inst, variant, algo, &budget)
-                    .expect("cancellation is not an error");
+                let sol = solve_with_config(
+                    &inst,
+                    variant,
+                    algo,
+                    SolveConfig {
+                        budget: Some(&budget),
+                        ..SolveConfig::default()
+                    },
+                )
+                .expect("cancellation is not an error");
                 // Probe-free paths (the O(n) fallback, trivial m >= n
                 // shapes) legitimately complete in full even under a dead
                 // budget — but then they must match the plain solve exactly.
@@ -113,8 +121,16 @@ fn every_probe_budget_level_yields_a_valid_certified_solution() {
                 for work in [0, 1, 2, 3, 5, 8, 1000] {
                     let label = format!("{name}/{variant}/{algo:?}/work={work}");
                     let budget = SolveBudget::unlimited().with_work_limit(work);
-                    let sol = solve_budgeted(&inst, variant, algo, &budget)
-                        .expect("starvation is not an error");
+                    let sol = solve_with_config(
+                        &inst,
+                        variant,
+                        algo,
+                        SolveConfig {
+                            budget: Some(&budget),
+                            ..SolveConfig::default()
+                        },
+                    )
+                    .expect("starvation is not an error");
                     assert_valid(&label, &inst, variant, &sol);
                     // A starved search still never beats its own bound, and a
                     // full one matches the plain solve.
@@ -133,8 +149,16 @@ fn expired_deadline_degrades_not_errors() {
         for variant in Variant::ALL {
             let label = format!("{name}/{variant}");
             let budget = SolveBudget::unlimited().with_deadline(std::time::Duration::ZERO);
-            let sol = solve_budgeted(&inst, variant, Algorithm::ThreeHalves, &budget)
-                .expect("an expired deadline is not an error");
+            let sol = solve_with_config(
+                &inst,
+                variant,
+                Algorithm::ThreeHalves,
+                SolveConfig {
+                    budget: Some(&budget),
+                    ..SolveConfig::default()
+                },
+            )
+            .expect("an expired deadline is not an error");
             // Trivial m >= n shapes complete without probing; every other
             // solve must report the expired deadline.
             if sol.completion == Completion::Full {
@@ -167,14 +191,20 @@ fn seqdep_budgeted_matches_plain_and_degrades_cleanly() {
         for algo in ALGOS {
             let label = format!("{name}/{algo:?}");
             let plain = solve_seqdep(sd, algo);
-            let budgeted = solve_seqdep_budgeted(sd, algo, &SolveBudget::unlimited())
+            let budgeted = solve_seqdep_with_config(sd, algo, SolveConfig::default())
                 .expect("unlimited budget cannot fail");
             assert_eq!(budgeted.completion, Completion::Full, "{label}");
             assert_identical(&label, &budgeted, &plain);
 
-            let starved =
-                solve_seqdep_budgeted(sd, algo, &SolveBudget::unlimited().with_work_limit(1))
-                    .expect("starvation is not an error");
+            let starved = solve_seqdep_with_config(
+                sd,
+                algo,
+                SolveConfig {
+                    budget: Some(&SolveBudget::unlimited().with_work_limit(1)),
+                    ..SolveConfig::default()
+                },
+            )
+            .expect("starvation is not an error");
             assert!(
                 starved.makespan <= starved.ratio_bound * starved.accepted,
                 "{label}: starved bound"
