@@ -2,8 +2,8 @@
 
 use bss_instance::{Instance, LowerBounds, Variant};
 use bss_rational::Rational;
-use bss_schedule::Schedule;
-use bss_wrap::{wrap_into, GapRun, Template, WrapSequence};
+use bss_schedule::{to_ticks, Schedule};
+use bss_wrap::{batch_items, wrap_into, GapRun, Template};
 
 /// Monma–Potts-style batch wrap-around heuristic for the preemptive variant.
 ///
@@ -17,27 +17,28 @@ use bss_wrap::{wrap_into, GapRun, Template, WrapSequence};
 pub fn monma_potts(inst: &Instance) -> Schedule {
     let m = inst.machines();
     let t_min = LowerBounds::of(inst).tmin(Variant::Preemptive);
-    let smax = Rational::from(inst.smax());
+    // The grid 1/D with D = den(T_min) holds every time of the wrap.
+    let grid = t_min.denom();
+    let smax = to_ticks(inst.smax(), grid);
     let template = Template::new(vec![GapRun {
         first_machine: 0,
         count: m,
         a: smax,
-        b: smax + t_min,
+        b: smax + t_min.numer(),
     }]);
-    let mut q = WrapSequence::new();
-    for i in 0..inst.num_classes() {
-        q.push_batch(
+    let q = (0..inst.num_classes()).flat_map(|i| {
+        batch_items(
             i,
-            Rational::from(inst.setup(i)),
+            to_ticks(inst.setup(i), grid),
             inst.class_jobs(i)
                 .iter()
-                .map(|&j| (j, Rational::from(inst.job(j).time))),
-        );
-    }
+                .map(move |&j| (j, to_ticks(inst.job(j).time, grid))),
+        )
+    });
     // Capacity: m·T_min >= N = L(Q); setups fit below since a = s_max.
     // Jobs never self-parallelize: t_j <= T_min - s_i <= gap height.
-    let mut out = Schedule::new(m);
-    wrap_into(&q, template.runs(), inst.setups(), &mut out)
+    let mut out = Schedule::with_grid(m, grid);
+    wrap_into(q, template.runs(), inst.setups(), &mut out)
         .expect("m*T_min >= N guarantees capacity");
     out
 }
@@ -164,8 +165,7 @@ mod tests {
         let inst = b.build().unwrap();
         let s = lpt_batches(&inst);
         assert_eq!(s.makespan(), Rational::from(11u64));
-        let used: std::collections::HashSet<usize> =
-            s.placements().iter().map(|p| p.machine).collect();
+        let used: std::collections::HashSet<usize> = s.placements().map(|p| p.machine).collect();
         assert_eq!(used.len(), 1);
     }
 
@@ -173,7 +173,7 @@ mod tests {
     fn next_fit_respects_machine_limit() {
         let inst = bss_gen::uniform(200, 20, 3, 9);
         let s = next_fit_batches(&inst);
-        assert!(s.placements().iter().all(|p| p.machine < 3));
+        assert!(s.placements().all(|p| p.machine < 3));
         assert!(validate(&s, &inst, Variant::NonPreemptive).is_empty());
     }
 }

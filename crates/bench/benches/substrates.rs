@@ -12,35 +12,30 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use bss_instance::Variant;
 use bss_knapsack::{continuous_knapsack, CkItem};
 use bss_rational::Rational;
-use bss_wrap::{mcnaughton, wrap, GapRun, Template, WrapSequence};
+use bss_wrap::{batch_items, mcnaughton, wrap, GapRun, SeqItem, Template};
 
 fn wrap_ablation(c: &mut Criterion) {
     let mut g = c.benchmark_group("wrap_ablation");
     g.sample_size(20);
     // One giant splittable job over m identical gaps.
     for m in [1_000usize, 10_000, 100_000] {
-        let height = Rational::from(10u64);
-        let total = Rational::from(10u64 * (m as u64) - 5);
-        let mut q = WrapSequence::new();
-        q.push_setup(0, Rational::from(2u64));
-        q.push_piece(0, 0, total - 2u64);
+        // Integral data: the wrap runs on the integer grid.
+        let height = 10i128;
+        let total = 10 * m as i128 - 5;
+        let q: Vec<SeqItem> = batch_items(0, 2, [(0, total - 2)]).collect();
         let fast = Template::new(vec![GapRun {
             first_machine: 0,
             count: m,
-            a: Rational::from(2u64),
-            b: Rational::from(2u64) + height,
+            a: 2,
+            b: 2 + height,
         }]);
-        let naive = Template::new(
-            (0..m)
-                .map(|u| GapRun::single(u, Rational::from(2u64), Rational::from(12u64)))
-                .collect(),
-        );
+        let naive = Template::new((0..m).map(|u| GapRun::single(u, 2, 12)).collect());
         let setups = [2u64];
         g.bench_with_input(BenchmarkId::new("fast_path", m), &m, |b, _| {
-            b.iter(|| black_box(wrap(&q, &fast, &setups, m).expect("fits")))
+            b.iter(|| black_box(wrap(q.iter().copied(), &fast, &setups, m).expect("fits")))
         });
         g.bench_with_input(BenchmarkId::new("naive_single_gaps", m), &m, |b, _| {
-            b.iter(|| black_box(wrap(&q, &naive, &setups, m).expect("fits")))
+            b.iter(|| black_box(wrap(q.iter().copied(), &naive, &setups, m).expect("fits")))
         });
     }
     g.finish();

@@ -168,26 +168,21 @@ pub fn run(_cfg: &ReproConfig) -> Artifact {
     // Figure 6: a wrap template's anatomy.
     {
         use bss_instance::InstanceBuilder;
-        use bss_wrap::{wrap, Template, WrapSequence};
+        use bss_wrap::{batch_items, wrap, Template};
         let mut b = InstanceBuilder::new(4);
         b.add_batch(2, &[6, 7, 8, 3]);
         let inst = b.build().expect("figure instance is valid");
         let t = Rational::from(12u64);
-        let template = Template::from_gaps(vec![
-            (0, Rational::from(3u64), Rational::from(12u64)),
-            (1, Rational::from(2u64), Rational::from(9u64)),
-            (2, Rational::from(4u64), Rational::from(11u64)),
-            (3, Rational::from(2u64), Rational::from(6u64)),
-        ]);
-        let mut q = WrapSequence::new();
-        q.push_batch(
+        // Integral data: the wrap runs on the integer grid.
+        let template = Template::from_gaps(vec![(0, 3, 12), (1, 2, 9), (2, 4, 11), (3, 2, 6)]);
+        let q = batch_items(
             0,
-            Rational::from(2u64),
+            2,
             inst.class_jobs(0)
                 .iter()
-                .map(|&j| (j, Rational::from(inst.job(j).time))),
+                .map(|&j| (j, i128::from(inst.job(j).time))),
         );
-        let placed = wrap(&q, &template, inst.setups(), 4).expect("fits");
+        let placed = wrap(q, &template, inst.setups(), 4).expect("fits");
         let s: Schedule = placed.expand().expect("in range");
         out.push(
             "fig6",

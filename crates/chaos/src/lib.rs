@@ -259,11 +259,7 @@ pub fn assert_bit_identical(label: &str, a: &Solution, b: &Solution) {
     assert_eq!(a.certificate, b.certificate, "{label}: certificate");
     assert_eq!(a.probes, b.probes, "{label}: probes");
     assert_eq!(a.completion, b.completion, "{label}: completion");
-    assert_eq!(
-        a.schedule().placements(),
-        b.schedule().placements(),
-        "{label}: placements"
-    );
+    assert_eq!(a.schedule(), b.schedule(), "{label}: schedule");
 }
 
 /// How many instance seeds the suite sweeps: scaled by `BSS_PROPTEST_CASES`

@@ -28,7 +28,7 @@
 
 use bss_instance::{ClassId, Instance, JobId};
 use bss_rational::Rational;
-use bss_schedule::Schedule;
+use bss_schedule::{ItemKind, Schedule};
 
 use crate::workspace::{DualWorkspace, NpClassRange, NpItem};
 use crate::Trace;
@@ -152,16 +152,22 @@ impl<'a> Builder<'a> {
         u
     }
 
-    /// Emits the stacks into `out` (cleared by the caller).
+    /// Emits the stacks into `out` (cleared by the caller, on the integer
+    /// grid: every time of this builder is an integer).
     fn emit_into(&self, out: &mut Schedule) {
+        debug_assert_eq!(out.grid(), 1);
         for (u, stack) in self.stacks[..self.used].iter().enumerate() {
-            let mut at = Rational::ZERO;
+            let mut at = 0i128;
             for item in stack {
-                let len = Rational::from(item.len);
-                match item.job {
-                    None => out.push_setup(u, at, len, item.class),
-                    Some(j) => out.push_piece(u, at, len, j, item.class),
-                }
+                let len = i128::from(item.len);
+                let kind = match item.job {
+                    None => ItemKind::Setup(item.class),
+                    Some(job) => ItemKind::Piece {
+                        job,
+                        class: item.class,
+                    },
+                };
+                out.push_ticks(u, at, len, kind);
                 at += len;
             }
         }

@@ -18,11 +18,11 @@
 //! The band discipline (`K` below `T/2`, cheap nice load above `T/2`) is what
 //! keeps split jobs from running in parallel with themselves.
 
-use bss_instance::{ClassId, Instance};
+use bss_instance::{ClassId, Instance, JobId};
 use bss_knapsack::{continuous_knapsack_in, CkItem};
-use bss_rational::{Rational, RawRational};
-use bss_schedule::Schedule;
-use bss_wrap::{wrap_into, GapRun};
+use bss_rational::{gcd, Rational, RawRational};
+use bss_schedule::{to_ticks, ItemKind, Schedule};
+use bss_wrap::{wrap_into, GapRun, SeqItem, SeqKind};
 
 use crate::classify::classify_into;
 use crate::workspace::{DualWorkspace, IstarAgg, KPiece};
@@ -387,6 +387,29 @@ fn prepare_in(
     Some(PlanMeta { k_first_class })
 }
 
+/// The build's grid denominator: `lcm` of `quarter_den = den(T/4)` and the
+/// denominators of the plan's split pieces (integral pieces, the vast
+/// majority, cost one compare).
+fn plan_grid(quarter_den: i128, arena: &[(JobId, Rational)], k_pieces: &[KPiece]) -> i128 {
+    let mut grid = quarter_den;
+    let mut last = 1;
+    let dens = arena
+        .iter()
+        .map(|&(_, len)| len.denom())
+        .chain(k_pieces.iter().map(|p| p.len.denom()));
+    for den in dens {
+        if den != 1 && den != last {
+            last = den;
+            if grid % den != 0 {
+                grid = (grid / gcd(grid, den))
+                    .checked_mul(den)
+                    .expect("Rational overflow");
+            }
+        }
+    }
+    grid
+}
+
 /// The dual test of Theorem 5 (with `mode` selecting α′ or γ machine counts).
 #[must_use]
 pub fn accepts(inst: &Instance, t: Rational, mode: CountMode) -> bool {
@@ -445,21 +468,28 @@ pub fn dual_into(
     let Some(plan) = prepare_in(ws, inst, t, mode) else {
         return false;
     };
+    // Every time of the build is an integer plus a multiple of T/4 or of a
+    // split piece's length: the grid 1/D, D = lcm(den(T/4), piece
+    // denominators), holds them all, and the build runs in ticks.
     let half = t.half();
     let quarter = half.half();
+    let grid = plan_grid(quarter.denom(), &ws.arena, &ws.k_pieces);
+    out.reset_on_grid(m, grid);
+    let half = to_ticks(half, grid);
+    let quarter = to_ticks(quarter, grid);
     let l = ws.cls.iexp_zero.len();
 
     // Step 1: large machines — each I0exp batch starts at T/2 (Lemma 11).
     for (u, &i) in ws.cls.iexp_zero.iter().enumerate() {
-        let s = Rational::from(inst.setup(i));
-        out.push_setup(u, half, s, i);
+        let s = to_ticks(inst.setup(i), grid);
+        out.push_ticks(u, half, s, ItemKind::Setup(i));
         let mut at = half + s;
         for &j in inst.class_jobs(i) {
-            let len = Rational::from(inst.job(j).time);
-            out.push_piece(u, at, len, j, i);
+            let len = to_ticks(inst.job(j).time, grid);
+            out.push_ticks(u, at, len, ItemKind::Piece { job: j, class: i });
             at += len;
         }
-        debug_assert!(at <= t * Rational::new(3, 2));
+        debug_assert!(at <= 3 * half);
     }
     trace.snap("step 1: large machines", out);
 
@@ -468,7 +498,7 @@ pub fn dual_into(
     ws.k_big.clear();
     ws.k_small.clear();
     for (idx, p) in ws.k_pieces.iter().enumerate() {
-        if p.len > quarter {
+        if to_ticks(p.len, grid) > quarter {
             ws.k_big.push(idx);
         } else {
             ws.k_small.push(idx);
@@ -484,10 +514,19 @@ pub fn dual_into(
     let l_prime = ws.k_big.len();
     for (u, &pi) in ws.k_big.iter().enumerate() {
         let p: &KPiece = &ws.k_pieces[pi];
-        let s = Rational::from(inst.setup(p.class));
-        debug_assert!(s + p.len <= half, "Note 3: s + t <= T/2");
-        out.push_setup(u, Rational::ZERO, s, p.class);
-        out.push_piece(u, s, p.len, p.job, p.class);
+        let s = to_ticks(inst.setup(p.class), grid);
+        let len = to_ticks(p.len, grid);
+        debug_assert!(s + len <= half, "Note 3: s + t <= T/2");
+        out.push_ticks(u, 0, s, ItemKind::Setup(p.class));
+        out.push_ticks(
+            u,
+            s,
+            len,
+            ItemKind::Piece {
+                job: p.job,
+                class: p.class,
+            },
+        );
     }
 
     // K− : wrapped over the remaining large machines below T/2.
@@ -501,30 +540,39 @@ pub fn dual_into(
             let p = &ws.k_pieces[pi];
             ((Some(p.class) != k_first_class) as u8, p.class, p.job)
         });
-        ws.scratch.clear();
-        let mut current: Option<ClassId> = None;
-        for &pi in &ws.k_small {
-            let p = &ws.k_pieces[pi];
-            if current != Some(p.class) {
-                ws.scratch
-                    .seq
-                    .push_setup(p.class, Rational::from(inst.setup(p.class)));
-                current = Some(p.class);
-            }
-            ws.scratch.seq.push_piece(p.class, p.job, p.len);
-        }
-        ws.scratch
-            .runs
-            .push(GapRun::single(l_prime, Rational::ZERO, half));
+        ws.runs.clear();
+        ws.runs.push(GapRun::single(l_prime, 0, half));
         if l - l_prime > 1 {
-            ws.scratch.runs.push(GapRun {
+            ws.runs.push(GapRun {
                 first_machine: l_prime + 1,
                 count: l - l_prime - 1,
                 a: quarter,
                 b: half,
             });
         }
-        if wrap_into(&ws.scratch.seq, &ws.scratch.runs, inst.setups(), out).is_err() {
+        // The sorted pieces stream into the wrap, with a setup at each
+        // class change — no sequence is materialized.
+        let k_pieces = &ws.k_pieces;
+        let mut current: Option<ClassId> = None;
+        let items = ws.k_small.iter().flat_map(|&pi| {
+            let p = &k_pieces[pi];
+            let setup = (current != Some(p.class)).then(|| {
+                current = Some(p.class);
+                SeqItem {
+                    class: p.class,
+                    kind: SeqKind::Setup,
+                    len: to_ticks(inst.setup(p.class), grid),
+                }
+            });
+            let len = to_ticks(p.len, grid);
+            let piece = (len > 0).then_some(SeqItem {
+                class: p.class,
+                kind: SeqKind::Piece(p.job),
+                len,
+            });
+            setup.into_iter().chain(piece)
+        });
+        if wrap_into(items, &ws.runs, inst.setups(), out).is_err() {
             return false;
         }
     }
@@ -538,7 +586,7 @@ pub fn dual_into(
         cheap: &ws.cheap,
         arena: &ws.arena,
     };
-    if build_nice(inst, t, mode, parts, l, m - l, &mut ws.scratch, out).is_err() {
+    if build_nice(inst, t, mode, parts, l, m - l, &mut ws.runs, out).is_err() {
         return false;
     }
     trace.snap("step 3: nice residual instance", out);

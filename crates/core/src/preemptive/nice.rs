@@ -16,11 +16,10 @@
 
 use bss_instance::{ClassId, Instance, JobId};
 use bss_rational::Rational;
-use bss_schedule::{PlacementSink, Schedule};
-use bss_wrap::{wrap_into, GapRun};
+use bss_schedule::{to_ticks, ItemKind, Schedule};
+use bss_wrap::{batch_items, wrap_into, GapRun, SeqItem};
 
 use crate::classify::{alpha_prime, classify, gamma};
-use crate::workspace::WrapScratch;
 
 /// Machine-count mode for `I⁺_exp` classes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,27 +74,6 @@ impl Batch {
         }
     }
 
-    /// Invokes `f` for every `(job, piece length)` of the batch.
-    pub(crate) fn for_each_piece(
-        &self,
-        inst: &Instance,
-        arena: &[(JobId, Rational)],
-        mut f: impl FnMut(JobId, Rational),
-    ) {
-        match self.jobs {
-            BatchJobs::Full => {
-                for &j in inst.class_jobs(self.class) {
-                    f(j, Rational::from(inst.job(j).time));
-                }
-            }
-            BatchJobs::Pieces { start, end } => {
-                for &(j, len) in &arena[start..end] {
-                    f(j, len);
-                }
-            }
-        }
-    }
-
     /// `true` iff the batch carries at least one piece.
     pub(crate) fn has_pieces(&self, inst: &Instance) -> bool {
         match self.jobs {
@@ -104,15 +82,26 @@ impl Batch {
         }
     }
 
-    /// Appends the batch (setup, then pieces) to a wrap sequence.
-    fn sequence_into(
+    /// The batch (setup, then pieces) as a lazy wrap stream in ticks of
+    /// `1/grid` — read off the instance or the arena as the wrap consumes
+    /// it, nothing materialized.
+    pub(crate) fn items<'a>(
         &self,
-        inst: &Instance,
-        arena: &[(JobId, Rational)],
-        q: &mut bss_wrap::WrapSequence,
-    ) {
-        q.push_setup(self.class, Rational::from(self.setup));
-        self.for_each_piece(inst, arena, |j, len| q.push_piece(self.class, j, len));
+        inst: &'a Instance,
+        arena: &'a [(JobId, Rational)],
+        grid: i128,
+    ) -> impl Iterator<Item = SeqItem> + 'a {
+        let (full, split): (&[JobId], &[(JobId, Rational)]) = match self.jobs {
+            BatchJobs::Full => (inst.class_jobs(self.class), &[]),
+            BatchJobs::Pieces { start, end } => (&[], &arena[start..end]),
+        };
+        batch_items(
+            self.class,
+            to_ticks(self.setup, grid),
+            full.iter()
+                .map(move |&j| (j, to_ticks(inst.job(j).time, grid)))
+                .chain(split.iter().map(move |&(j, len)| (j, to_ticks(len, grid)))),
+        )
     }
 }
 
@@ -133,26 +122,28 @@ pub(crate) struct NiceParts<'a> {
 }
 
 /// Places `parts` on machines `base .. base + avail`, streaming every
-/// placement once into `sink` (no intermediate schedules — the wraps emit
-/// through the same [`PlacementSink`]). `scratch` provides the reusable
-/// sequence/run buffers, so a warm build performs no allocations here.
+/// placement once into `out`, in ticks of its grid (which must hold `T/2`
+/// and every arena piece). `runs` is the reusable gap-run buffer, so a warm
+/// build performs no allocations here.
 ///
 /// Returns `Err(())` when the machines or the wrap capacity do not suffice —
 /// the caller treats this as a dual rejection (and discards whatever was
 /// already emitted).
 #[allow(clippy::too_many_arguments)] // mirrors the paper's builder inputs
-pub(crate) fn build_nice<S: PlacementSink>(
+pub(crate) fn build_nice(
     inst: &Instance,
     t: Rational,
     mode: CountMode,
     parts: NiceParts<'_>,
     base: usize,
     avail: usize,
-    scratch: &mut WrapScratch,
-    sink: &mut S,
+    runs: &mut Vec<GapRun>,
+    out: &mut Schedule,
 ) -> Result<(), ()> {
-    let half = t.half();
-    let top = t + half; // 3T/2
+    let grid = out.grid();
+    let half = to_ticks(t.half(), grid);
+    let t = half.checked_mul(2).expect("Rational overflow");
+    let top = t.checked_add(half).expect("Rational overflow"); // 3T/2
     let end = base + avail;
     let mut cursor = base;
 
@@ -163,22 +154,18 @@ pub(crate) fn build_nice<S: PlacementSink>(
         if cursor + a > end {
             return Err(());
         }
-        let s = Rational::from(batch.setup);
-        scratch.clear();
+        let s = to_ticks(batch.setup, grid);
+        runs.clear();
         if a == 1 {
-            scratch
-                .runs
-                .push(GapRun::single(cursor, Rational::ZERO, top));
+            runs.push(GapRun::single(cursor, 0, top));
         } else {
             let first_b = match mode {
                 CountMode::AlphaPrime => t,
-                CountMode::Gamma => s + half,
+                CountMode::Gamma => s.checked_add(half).expect("Rational overflow"),
             };
-            scratch
-                .runs
-                .push(GapRun::single(cursor, Rational::ZERO, first_b));
+            runs.push(GapRun::single(cursor, 0, first_b));
             if a > 2 {
-                scratch.runs.push(GapRun {
+                runs.push(GapRun {
                     first_machine: cursor + 1,
                     count: a - 2,
                     a: s,
@@ -188,10 +175,10 @@ pub(crate) fn build_nice<S: PlacementSink>(
             // The last gap absorbs the residue up to 3T/2 (the paper moves
             // the last machine's jobs atop the second-last; extending the
             // final gap is the same schedule up to machine naming).
-            scratch.runs.push(GapRun::single(cursor + a - 1, s, top));
+            runs.push(GapRun::single(cursor + a - 1, s, top));
         }
-        batch.sequence_into(inst, parts.arena, &mut scratch.seq);
-        wrap_into(&scratch.seq, &scratch.runs, inst.setups(), sink).map_err(|_| ())?;
+        let items = batch.items(inst, parts.arena, grid);
+        wrap_into(items, runs, inst.setups(), out).map_err(|_| ())?;
         cursor += a;
     }
 
@@ -201,13 +188,14 @@ pub(crate) fn build_nice<S: PlacementSink>(
         if cursor >= end {
             return Err(());
         }
-        let mut at = Rational::ZERO;
+        let mut at = 0i128;
         for &i in pair {
-            sink.place_setup(cursor, at, Rational::from(inst.setup(i)), i);
-            at += inst.setup(i);
+            let s = to_ticks(inst.setup(i), grid);
+            out.push_ticks(cursor, at, s, ItemKind::Setup(i));
+            at += s;
             for &j in inst.class_jobs(i) {
-                let len = Rational::from(inst.job(j).time);
-                sink.place_piece(cursor, at, len, j, i);
+                let len = to_ticks(inst.job(j).time, grid);
+                out.push_ticks(cursor, at, len, ItemKind::Piece { job: j, class: i });
                 at += len;
             }
         }
@@ -221,33 +209,28 @@ pub(crate) fn build_nice<S: PlacementSink>(
     if parts.cheap.iter().all(|b| !b.has_pieces(inst)) {
         return Ok(());
     }
-    scratch.clear();
+    runs.clear();
     if let Some(mu) = lone_machine {
         // The lone I−exp machine (load <= 3T/4 <= T) carries the first gap.
-        scratch.runs.push(GapRun::single(mu, t, top));
+        runs.push(GapRun::single(mu, t, top));
     }
     if cursor < end {
-        scratch.runs.push(GapRun {
+        runs.push(GapRun {
             first_machine: cursor,
             count: end - cursor,
             a: half,
             b: top,
         });
     }
-    if scratch.runs.is_empty() {
+    if runs.is_empty() {
         return Err(());
     }
-    for batch in parts.cheap {
-        if batch.has_pieces(inst) {
-            scratch
-                .seq
-                .push_setup(batch.class, Rational::from(batch.setup));
-            batch.for_each_piece(inst, parts.arena, |j, len| {
-                scratch.seq.push_piece(batch.class, j, len);
-            });
-        }
-    }
-    wrap_into(&scratch.seq, &scratch.runs, inst.setups(), sink).map_err(|_| ())?;
+    let items = parts
+        .cheap
+        .iter()
+        .filter(|b| b.has_pieces(inst))
+        .flat_map(|b| b.items(inst, parts.arena, grid));
+    wrap_into(items, runs, inst.setups(), out).map_err(|_| ())?;
     Ok(())
 }
 
@@ -303,8 +286,7 @@ pub fn nice_dual(inst: &Instance, t: Rational, mode: CountMode) -> Option<Schedu
         cheap: &cheap,
         arena: &[],
     };
-    let mut out = Schedule::new(inst.machines());
-    let mut scratch = WrapScratch::default();
+    let mut out = Schedule::with_grid(inst.machines(), t.half().denom());
     build_nice(
         inst,
         t,
@@ -312,7 +294,7 @@ pub fn nice_dual(inst: &Instance, t: Rational, mode: CountMode) -> Option<Schedu
         parts,
         0,
         inst.machines(),
-        &mut scratch,
+        &mut Vec::new(),
         &mut out,
     )
     .ok()?;

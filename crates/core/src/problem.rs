@@ -703,7 +703,7 @@ mod tests {
                     assert_eq!(a.ratio_bound, b.ratio_bound, "{variant} {algo:?}");
                     assert_eq!(a.certificate, b.certificate, "{variant} {algo:?}");
                     assert_eq!(a.probes, b.probes, "{variant} {algo:?}");
-                    assert_eq!(a.schedule().placements(), b.schedule().placements());
+                    assert_eq!(a.schedule(), b.schedule());
                     assert!(validate(a.schedule(), &inst, variant).is_empty());
                 }
             }

@@ -308,6 +308,6 @@ mod tests {
         let b = solve_seqdep(&inst, Algorithm::ThreeHalves);
         assert_eq!(a.makespan, b.makespan);
         assert_eq!(a.accepted, b.accepted);
-        assert_eq!(a.schedule().placements(), b.schedule().placements());
+        assert_eq!(a.schedule(), b.schedule());
     }
 }

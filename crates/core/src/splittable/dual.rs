@@ -11,8 +11,8 @@
 
 use bss_instance::{ClassId, Instance};
 use bss_rational::{Rational, RawRational};
-use bss_schedule::CompactSchedule;
-use bss_wrap::{batch_items, wrap_iter_append, GapRun, SeqItem};
+use bss_schedule::{to_ticks, CompactSchedule};
+use bss_wrap::{batch_items, wrap_append, GapRun, SeqItem};
 
 use crate::classify::{beta, classify_into};
 use crate::workspace::DualWorkspace;
@@ -111,7 +111,13 @@ pub fn dual_into(
     if !accepts_in(ws, inst, t) {
         return false;
     }
+    // Every time of the build is a multiple of T/2 plus integers: the grid
+    // 1/D with D = den(T/2) holds them all, and the build runs in ticks.
     let half = t.half();
+    let grid = half.denom();
+    out.reset_on_grid(m, grid);
+    let half_ticks = half.numer();
+    let t_ticks = 2 * half_ticks;
 
     // Step 1: expensive classes, β_i machines each, gaps of job capacity T/2
     // above the setups. The expensive cells are walked in sorted class order
@@ -135,28 +141,28 @@ pub fn dual_into(
         let i = exp_cells[cell][0];
         exp_cells[cell] = &exp_cells[cell][1..];
 
-        let s = Rational::from(inst.setup(i));
+        let s = to_ticks(inst.setup(i), grid);
         let b = beta(inst, t, i);
-        let p = Rational::from(inst.class_proc(i));
-        ws.scratch.clear();
-        ws.scratch
-            .runs
-            .push(GapRun::single(next_machine, Rational::ZERO, s + half));
+        let p = to_ticks(inst.class_proc(i), grid);
+        ws.runs.clear();
+        ws.runs
+            .push(GapRun::single(next_machine, 0, s + half_ticks));
         if b > 1 {
-            ws.scratch.runs.push(GapRun {
+            ws.runs.push(GapRun {
                 first_machine: next_machine + 1,
                 count: b - 1,
                 a: s,
-                b: s + half,
+                b: s + half_ticks,
             });
         }
-        // The batch streams lazily from the instance — no WrapSequence.
-        wrap_iter_append(class_batch(inst, i), &ws.scratch.runs, inst.setups(), out)
+        // The batch streams lazily from the instance; no sequence is
+        // materialized.
+        wrap_append(class_batch(inst, i, grid), &ws.runs, inst.setups(), out)
             .expect("Theorem 7: expensive template capacity suffices");
         // Load of the last machine: s_i + (P_i - (β_i - 1)·T/2).
-        let last_load = s + (p - half * (b - 1) as u64);
+        let last_load = s + (p - half_ticks * (b - 1) as i128);
         let last_machine = next_machine + b - 1;
-        if last_load < t {
+        if last_load < t_ticks {
             ws.partial.push((last_machine, last_load));
         }
         next_machine += b;
@@ -172,21 +178,20 @@ pub fn dual_into(
     // (reserving T/2 for one cheap setup) and the empty machines.
     let has_cheap = !ws.cls.ichp_plus.is_empty() || !ws.cls.ichp_minus.is_empty();
     if has_cheap {
-        ws.scratch.clear();
+        ws.runs.clear();
         for &(u, load) in &ws.partial {
-            ws.scratch
-                .runs
-                .push(GapRun::single(u, load + half, t + half));
+            ws.runs
+                .push(GapRun::single(u, load + half_ticks, t_ticks + half_ticks));
         }
         if next_machine < m {
-            ws.scratch.runs.push(GapRun {
+            ws.runs.push(GapRun {
                 first_machine: next_machine,
                 count: m - next_machine,
-                a: half,
-                b: t + half,
+                a: half_ticks,
+                b: t_ticks + half_ticks,
             });
         }
-        if ws.scratch.runs.is_empty() {
+        if ws.runs.is_empty() {
             // All machines exactly full of expensive load but cheap load
             // remains: impossible under the accept test.
             return false;
@@ -198,9 +203,9 @@ pub fn dual_into(
             a: ws.cls.ichp_plus.as_slice(),
             b: ws.cls.ichp_minus.as_slice(),
         };
-        wrap_iter_append(
-            merged.flat_map(|i| class_batch(inst, i)),
-            &ws.scratch.runs,
+        wrap_append(
+            merged.flat_map(|i| class_batch(inst, i, grid)),
+            &ws.runs,
             inst.setups(),
             out,
         )
@@ -216,18 +221,19 @@ pub fn dual_into(
     true
 }
 
-/// All of class `i` as a lazy wrap stream: its setup, then its jobs, read
-/// straight off the instance (no intermediate sequence).
-pub(crate) fn class_batch<'a>(
-    inst: &'a Instance,
+/// All of class `i` as a lazy wrap stream in ticks of `1/grid`: its setup,
+/// then its jobs, read straight off the instance (no intermediate sequence).
+pub(crate) fn class_batch(
+    inst: &Instance,
     i: ClassId,
-) -> impl Iterator<Item = SeqItem> + 'a {
+    grid: i128,
+) -> impl Iterator<Item = SeqItem> + '_ {
     batch_items(
         i,
-        Rational::from(inst.setup(i)),
+        to_ticks(inst.setup(i), grid),
         inst.class_jobs(i)
             .iter()
-            .map(|&j| (j, Rational::from(inst.job(j).time))),
+            .map(move |&j| (j, to_ticks(inst.job(j).time, grid))),
     )
 }
 

@@ -2,8 +2,8 @@
 
 use bss_instance::{Instance, LowerBounds, Variant};
 use bss_rational::Rational;
-use bss_schedule::{CompactSchedule, Schedule};
-use bss_wrap::{wrap_iter_append, GapRun};
+use bss_schedule::{to_ticks, CompactSchedule, ItemKind, Schedule};
+use bss_wrap::{wrap_append, GapRun};
 
 use crate::workspace::DualWorkspace;
 use crate::Trace;
@@ -19,25 +19,28 @@ pub fn splittable_two_approx(inst: &Instance) -> CompactSchedule {
 }
 
 /// [`splittable_two_approx`] on a reusable workspace (the one-run template
-/// lives in the workspace's scratch; the batches stream lazily off the
+/// lives in the workspace's run buffer; the batches stream lazily off the
 /// instance and the wrap appends its groups directly to the output — no
 /// `O(n)` wrap sequence is ever materialized).
 #[must_use]
 pub fn splittable_two_approx_in(ws: &mut DualWorkspace, inst: &Instance) -> CompactSchedule {
     let m = inst.machines();
-    let smax = Rational::from(inst.smax());
+    // The grid 1/D with D = den(N/m) holds every time of the wrap.
     let per_machine = Rational::from(inst.total_load_once()) / m;
-    ws.scratch.clear();
-    ws.scratch.runs.push(GapRun {
+    let grid = per_machine.denom();
+    let smax = to_ticks(inst.smax(), grid);
+    ws.runs.clear();
+    ws.runs.push(GapRun {
         first_machine: 0,
         count: m,
         a: smax,
-        b: smax + per_machine,
+        b: smax + per_machine.numer(),
     });
     // Capacity S(ω) = N = L(Q) exactly; Lemma 6 applies.
-    let mut out = CompactSchedule::new(m);
-    let batches = (0..inst.num_classes()).flat_map(|i| crate::splittable::class_batch(inst, i));
-    wrap_iter_append(batches, &ws.scratch.runs, inst.setups(), &mut out)
+    let mut out = CompactSchedule::with_grid(m, grid);
+    let batches =
+        (0..inst.num_classes()).flat_map(|i| crate::splittable::class_batch(inst, i, grid));
+    wrap_append(batches, &ws.runs, inst.setups(), &mut out)
         .expect("Lemma 8: template capacity equals load");
     out
 }
@@ -144,22 +147,18 @@ pub fn greedy_two_approx(inst: &Instance, trace: &mut Trace) -> Schedule {
     return schedule;
 
     fn stacks_to_schedule(inst: &Instance, stacks: &[Vec<It>]) -> Schedule {
+        // All times are integers: the schedule stays on the integer grid.
         let mut s = Schedule::new(inst.machines());
         for (u, stack) in stacks.iter().enumerate() {
-            let mut t = Rational::ZERO;
+            let mut t = 0i128;
             for it in stack {
-                match *it {
-                    It::Setup(c) => {
-                        let len = Rational::from(inst.setup(c));
-                        s.push_setup(u, t, len, c);
-                        t += len;
-                    }
-                    It::Job(j, c) => {
-                        let len = Rational::from(inst.job(j).time);
-                        s.push_piece(u, t, len, j, c);
-                        t += len;
-                    }
-                }
+                let len = i128::from(len_of(inst, it));
+                let kind = match *it {
+                    It::Setup(class) => ItemKind::Setup(class),
+                    It::Job(job, class) => ItemKind::Piece { job, class },
+                };
+                s.push_ticks(u, t, len, kind);
+                t += len;
             }
         }
         s

@@ -16,7 +16,7 @@
 use bss_instance::{ClassId, Instance, JobId};
 use bss_knapsack::CkItem;
 use bss_rational::Rational;
-use bss_wrap::{GapRun, WrapSequence};
+use bss_wrap::GapRun;
 
 use crate::classify::Classification;
 
@@ -70,27 +70,6 @@ pub(crate) struct KPiece {
     pub class: ClassId,
     pub job: JobId,
     pub len: Rational,
-}
-
-/// Scratch buffers for assembling one wrap call: the sequence and the gap
-/// runs, both cleared and rebuilt per wrap without reallocating. Kept as its
-/// own struct so builders can borrow it mutably while the plan buffers
-/// ([`DualWorkspace::cheap`], [`DualWorkspace::arena`], …) stay borrowed
-/// immutably.
-#[derive(Debug, Default)]
-pub(crate) struct WrapScratch {
-    /// The wrap sequence `Q` under construction.
-    pub seq: WrapSequence,
-    /// The gap runs `ω` under construction.
-    pub runs: Vec<GapRun>,
-}
-
-impl WrapScratch {
-    /// Clears both buffers, keeping capacity.
-    pub(crate) fn clear(&mut self) {
-        self.seq.clear();
-        self.runs.clear();
-    }
 }
 
 /// One stacked item of the non-preemptive builder (items are contiguous
@@ -156,8 +135,9 @@ pub struct DualWorkspace {
     pub(crate) k_big: Vec<usize>,
     /// Bottom-band split: indices into `k_pieces` with `len <= T/4` (`K⁻`).
     pub(crate) k_small: Vec<usize>,
-    /// Partial machines of the splittable builder: `(machine, load)`.
-    pub(crate) partial: Vec<(usize, Rational)>,
+    /// Partial machines of the splittable builder: `(machine, load)`, the
+    /// load in ticks of the build's grid.
+    pub(crate) partial: Vec<(usize, i128)>,
     /// Non-preemptive repair: earliest placement sequence per job.
     pub(crate) job_min_seq: Vec<usize>,
     /// Non-preemptive repair: piece count per job.
@@ -186,8 +166,9 @@ pub struct DualWorkspace {
     /// Class-Jumping searches: the pinned `I⁺_exp` (or `I_exp`) classes,
     /// copied out of `cls` so later probes may overwrite the partition.
     pub(crate) jump_classes: Vec<ClassId>,
-    /// Scratch for assembling wrap calls (sequence + gap runs).
-    pub(crate) scratch: WrapScratch,
+    /// The gap runs `ω` of the wrap call under construction, rebuilt per
+    /// wrap without reallocating.
+    pub(crate) runs: Vec<GapRun>,
     /// Sequence-dependent solver scratch (probe orders, finish times); owned
     /// here so `SeqDepProblem` solves share the one-workspace-per-search
     /// discipline of the batch-setup paths.
@@ -261,7 +242,7 @@ impl DualWorkspace {
         self.np_fill_ranges.clear();
         self.np_queue.clear();
         self.np_step3.clear();
-        self.scratch.clear();
+        self.runs.clear();
         // `np_stacks`/`np_loads` are reset by the non-preemptive builder
         // itself (it tracks how many stacks are live); `thresholds`, `jumps`
         // and `jump_classes` belong to the searches, which clear them at

@@ -144,7 +144,7 @@ pub(crate) fn solve(inst: &Instance, budget: &mut NodeBudget<'_>) -> ExactSolve 
             // only if the budget died inside the realization flow.
             Schedule::new(inst.machines())
         });
-    let upper = if schedule.placements().is_empty() {
+    let upper = if schedule.placements().len() == 0 {
         search.best_t
     } else {
         schedule.makespan()

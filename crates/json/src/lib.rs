@@ -721,11 +721,20 @@ pub mod frame {
         Ok(())
     }
 
+    /// Payload bytes a frame may reserve before they arrive: [`read_frame`]
+    /// starts its buffer at `min(len, FRAME_PREALLOC)` and grows it only as
+    /// the payload comes in, so a peer that declares a large frame and
+    /// stalls pins this much, not the declared length. Frames up to this
+    /// size (a 20 000-job session request is about 1.1 MB) still take one
+    /// allocation. It also bounds the buffer handed to each `read` call.
+    pub const FRAME_PREALLOC: usize = 4 << 20;
+
     /// Reads one frame, returning `Ok(None)` on a clean end-of-stream at a
     /// frame boundary.
     ///
-    /// The declared length is checked against `max_len` *before* the payload
-    /// buffer is allocated.
+    /// The declared length is checked against `max_len` before anything is
+    /// allocated, and the payload is read incrementally from a buffer of at
+    /// most [`FRAME_PREALLOC`] bytes that grows with the bytes received.
     ///
     /// # Errors
     /// See [`FrameError`].
@@ -745,13 +754,20 @@ pub mod frame {
         if len > max_len {
             return Err(FrameError::TooLarge { len, max: max_len });
         }
-        let mut payload = vec![0u8; len];
-        match r.read_exact(&mut payload) {
-            Ok(()) => {}
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => {
-                return Err(FrameError::Truncated)
+        let mut payload = Vec::with_capacity(len.min(FRAME_PREALLOC));
+        while payload.len() < len {
+            let filled = payload.len();
+            let chunk_end = filled + (len - filled).min(FRAME_PREALLOC);
+            payload.resize(chunk_end, 0);
+            let mut at = filled;
+            while at < chunk_end {
+                match r.read(&mut payload[at..chunk_end]) {
+                    Ok(0) => return Err(FrameError::Truncated),
+                    Ok(n) => at += n,
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                    Err(e) => return Err(FrameError::Io(e)),
+                }
             }
-            Err(e) => return Err(FrameError::Io(e)),
         }
         String::from_utf8(payload)
             .map(Some)
@@ -821,6 +837,78 @@ mod tests {
     fn deep_nesting_is_bounded() {
         let deep = "[".repeat(500) + &"]".repeat(500);
         assert!(parse(&deep).is_err());
+    }
+
+    /// A reader that serves one frame and asserts no `read` is handed a
+    /// buffer above the pre-allocation bound.
+    struct BoundedReader {
+        data: Vec<u8>,
+        at: usize,
+        largest: usize,
+    }
+
+    impl std::io::Read for BoundedReader {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            assert!(
+                buf.len() <= frame::FRAME_PREALLOC,
+                "read handed a {}-byte buffer",
+                buf.len()
+            );
+            self.largest = self.largest.max(buf.len());
+            // Dribble: at most 1 MiB per call, like a slow socket.
+            let n = buf.len().min(self.data.len() - self.at).min(1 << 20);
+            buf[..n].copy_from_slice(&self.data[self.at..self.at + n]);
+            self.at += n;
+            Ok(n)
+        }
+    }
+
+    fn framed(len: u32, body: &[u8]) -> BoundedReader {
+        let mut data = len.to_be_bytes().to_vec();
+        data.extend_from_slice(body);
+        BoundedReader {
+            data,
+            at: 0,
+            largest: 0,
+        }
+    }
+
+    #[test]
+    fn read_frame_reads_large_frames_in_bounded_chunks() {
+        let len = 2 * frame::FRAME_PREALLOC + 12_345;
+        let body = vec![b'x'; len];
+        let mut r = framed(len as u32, &body);
+        let got = frame::read_frame(&mut r, 32 << 20).unwrap().unwrap();
+        assert_eq!(got.len(), len);
+        assert!(got.bytes().all(|b| b == b'x'));
+        assert_eq!(r.largest, frame::FRAME_PREALLOC);
+    }
+
+    #[test]
+    fn read_frame_keeps_its_error_semantics() {
+        // Declared past the limit: rejected before any payload is read.
+        let mut r = framed(1000, b"");
+        assert!(matches!(
+            frame::read_frame(&mut r, 999),
+            Err(frame::FrameError::TooLarge {
+                len: 1000,
+                max: 999
+            })
+        ));
+        // A large declared frame that ends early is truncated, not a hang.
+        let mut r = framed(32 << 20, b"{\"op\":");
+        assert!(matches!(
+            frame::read_frame(&mut r, 32 << 20),
+            Err(frame::FrameError::Truncated)
+        ));
+        let mut r = framed(2, &[0xff, 0xfe]);
+        assert!(matches!(
+            frame::read_frame(&mut r, 16),
+            Err(frame::FrameError::Utf8)
+        ));
+        let mut r = framed(0, b"");
+        assert_eq!(frame::read_frame(&mut r, 16).unwrap().as_deref(), Some(""));
+        assert!(frame::read_frame(&mut r, 16).unwrap().is_none());
     }
 
     #[test]

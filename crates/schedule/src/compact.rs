@@ -14,10 +14,13 @@
 //! explicit placements into any [`PlacementSink`] without an intermediate
 //! copy.
 
+use core::fmt;
+
 use bss_instance::JobId;
 use bss_json::{FromJson, JsonError, ToJson, Value};
 use bss_rational::Rational;
 
+use crate::ticks::{common_grid, PackedKind, Record, Store};
 use crate::{ItemKind, Placement, PlacementSink, Schedule, Violation};
 
 /// One item inside a machine configuration (machine-relative, no machine id).
@@ -67,16 +70,6 @@ impl MachineConfig {
             .map(|i| i.len)
             .fold(Rational::ZERO, |a, b| a + b)
     }
-
-    /// Largest end time of the configuration (0 if empty).
-    #[must_use]
-    pub fn end(&self) -> Rational {
-        self.items
-            .iter()
-            .map(|i| i.start + i.len)
-            .max()
-            .unwrap_or(Rational::ZERO)
-    }
 }
 
 impl ToJson for MachineConfig {
@@ -94,7 +87,8 @@ impl FromJson for MachineConfig {
 }
 
 /// A configuration group: `config` repeated on machines
-/// `first_machine .. first_machine + count`.
+/// `first_machine .. first_machine + count` — the owned, decoded form of a
+/// [`GroupRef`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConfigGroup {
     /// First machine of the group.
@@ -136,45 +130,126 @@ impl FromJson for ConfigGroup {
 /// A job piece appearing in a configuration of multiplicity `k` denotes `k`
 /// *distinct* pieces of that job, one per machine — meaningful only for the
 /// splittable variant, where job pieces may run in parallel.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Like [`Schedule`], the times are ticks of one grid `1/D` (see the crate
+/// docs), the items of all groups live in one flat buffer, and the largest
+/// end is tracked on push. [`CompactSchedule::groups`] decodes on read.
+#[derive(Clone)]
 pub struct CompactSchedule {
     machines: usize,
-    groups: Vec<ConfigGroup>,
+    groups: Vec<GroupRecord>,
+    /// Items of all groups, group after group (`machine` unused).
+    items: Store,
+}
+
+/// A group's header: machines and its range in the flat item buffer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct GroupRecord {
+    first_machine: usize,
+    count: usize,
+    start: usize,
+    end: usize,
+}
+
+impl PartialEq for CompactSchedule {
+    fn eq(&self, other: &Self) -> bool {
+        self.machines == other.machines
+            && self.groups == other.groups
+            && self.items.same_values(&other.items)
+    }
+}
+
+impl Eq for CompactSchedule {}
+
+impl fmt::Debug for CompactSchedule {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("CompactSchedule")
+            .field("machines", &self.machines)
+            .field(
+                "groups",
+                &self.groups().map(|g| g.to_group()).collect::<Vec<_>>(),
+            )
+            .finish()
+    }
 }
 
 impl ToJson for CompactSchedule {
     fn to_json_value(&self) -> Value {
         Value::Object(vec![
             ("machines".into(), Value::Int(self.machines as i128)),
-            ("groups".into(), self.groups.to_json_value()),
+            (
+                "groups".into(),
+                Value::Array(
+                    self.groups()
+                        .map(|g| g.to_group().to_json_value())
+                        .collect(),
+                ),
+            ),
         ])
     }
 }
 
 impl FromJson for CompactSchedule {
     fn from_json_value(value: &Value) -> Result<Self, JsonError> {
-        Ok(CompactSchedule {
-            machines: bss_json::int_from(bss_json::required(value, "machines")?, "machines")?,
-            groups: Vec::from_json_value(bss_json::required(value, "groups")?)?,
-        })
+        let machines = bss_json::int_from(bss_json::required(value, "machines")?, "machines")?;
+        let groups: Vec<ConfigGroup> = Vec::from_json_value(bss_json::required(value, "groups")?)?;
+        let items = groups.iter().flat_map(|g| &g.config.items);
+        let grid = common_grid(items.flat_map(|it| [it.start, it.len]))
+            .ok_or_else(|| JsonError::new("schedule times share no i128 tick grid"))?;
+        let mut cs = CompactSchedule::with_grid(machines, grid);
+        // Decoded groups are kept as they are, empty ones included: a
+        // validator judges them.
+        for g in &groups {
+            cs.begin_group(g.first_machine, g.count);
+            for item in &g.config.items {
+                let p = Placement::new(0, item.start, item.len, item.kind);
+                cs.items
+                    .try_encode(&p)
+                    .and_then(|r| cs.items.try_push(r))
+                    .ok_or_else(|| JsonError::new("item does not fit an i128 tick record"))?;
+                cs.close_item();
+            }
+        }
+        Ok(cs)
     }
 }
 
 impl CompactSchedule {
-    /// An empty compact schedule on `machines` machines.
+    /// An empty compact schedule on `machines` machines, on the integer grid.
     #[must_use]
     pub fn new(machines: usize) -> Self {
+        CompactSchedule::with_grid(machines, 1)
+    }
+
+    /// An empty compact schedule on `machines` machines whose times are
+    /// ticks of `1/grid`.
+    ///
+    /// # Panics
+    /// Panics if `grid < 1`.
+    #[must_use]
+    pub fn with_grid(machines: usize, grid: i128) -> Self {
         CompactSchedule {
             machines,
             groups: Vec::new(),
+            items: Store::new(grid),
         }
     }
 
-    /// Clears the schedule for reuse on `machines` machines, keeping the
-    /// group buffer's capacity.
+    /// Clears the schedule for reuse on `machines` machines and the integer
+    /// grid, keeping the buffers' capacity.
     pub fn reset(&mut self, machines: usize) {
+        self.reset_on_grid(machines, 1);
+    }
+
+    /// Clears the schedule for reuse on `machines` machines and the grid
+    /// `1/grid`, keeping the buffers' capacity.
+    ///
+    /// # Panics
+    /// Panics if `grid < 1`.
+    pub fn reset_on_grid(&mut self, machines: usize, grid: i128) {
         self.machines = machines;
         self.groups.clear();
+        self.items.reset(grid);
     }
 
     /// Number of machines of the instance.
@@ -183,49 +258,87 @@ impl CompactSchedule {
         self.machines
     }
 
+    /// The grid denominator `D`: every stored time is a multiple of `1/D`.
+    #[must_use]
+    pub fn grid(&self) -> i128 {
+        self.items.grid
+    }
+
+    /// Counts the item just pushed to the store into the open group.
+    #[inline]
+    fn close_item(&mut self) {
+        self.groups
+            .last_mut()
+            .expect("items require an open group")
+            .end += 1;
+    }
+
     /// Appends a configuration group (ignored if `count == 0` or the config is
-    /// empty).
+    /// empty). Times off the current grid widen it.
     pub fn push_group(&mut self, first_machine: usize, count: usize, config: MachineConfig) {
         if count > 0 && !config.items.is_empty() {
-            self.groups.push(ConfigGroup {
-                first_machine,
-                count,
-                config,
-            });
+            self.begin_group(first_machine, count);
+            for item in config.items {
+                self.push_open_item(item);
+            }
         }
     }
 
-    /// The configuration groups.
-    #[must_use]
-    pub fn groups(&self) -> &[ConfigGroup] {
-        &self.groups
+    /// The configuration groups, decoded on read.
+    pub fn groups(&self) -> impl ExactSizeIterator<Item = GroupRef<'_>> + Clone + '_ {
+        self.groups.iter().map(|g| self.group_ref(g))
     }
 
     /// Streaming group builder: opens an empty group whose items arrive via
-    /// [`CompactSchedule::push_open_item`]. Close it with
-    /// [`CompactSchedule::end_group`] before reading [`CompactSchedule::groups`]
-    /// — an open group that never received an item would otherwise linger
-    /// empty. Building in place keeps every allocation inside the output
-    /// (the wrap emitters rely on this for the zero-copy pipeline).
+    /// [`CompactSchedule::push_open_ticks`] (or
+    /// [`CompactSchedule::push_open_item`]). Close it with
+    /// [`CompactSchedule::end_group`] before reading
+    /// [`CompactSchedule::groups`] — an open group that never received an
+    /// item would otherwise linger empty. Building in place keeps every
+    /// allocation inside the output (the wrap emitters rely on this for the
+    /// zero-copy pipeline).
     pub fn begin_group(&mut self, first_machine: usize, count: usize) {
-        self.groups.push(ConfigGroup {
+        let at = self.items.records.len();
+        self.groups.push(GroupRecord {
             first_machine,
             count,
-            config: MachineConfig::default(),
+            start: at,
+            end: at,
         });
     }
 
-    /// Appends an item to the group opened by [`CompactSchedule::begin_group`].
+    /// Appends an item whose times are ticks of this schedule's grid to the
+    /// group opened by [`CompactSchedule::begin_group`].
+    ///
+    /// # Panics
+    /// Panics when no group is open (programming error in the emitter), or
+    /// with "Rational overflow" when `start + len` leaves `i128`.
+    #[inline]
+    pub fn push_open_ticks(&mut self, start: i128, len: i128, kind: ItemKind) {
+        self.items.push(Record {
+            start,
+            len,
+            machine: 0,
+            kind: PackedKind::pack(kind),
+        });
+        self.close_item();
+    }
+
+    /// [`CompactSchedule::push_open_ticks`] for a [`ConfigItem`] value;
+    /// times off the current grid widen it.
     ///
     /// # Panics
     /// Panics when no group is open (programming error in the emitter).
     pub fn push_open_item(&mut self, item: ConfigItem) {
-        self.groups
-            .last_mut()
-            .expect("push_open_item requires an open group")
-            .config
+        assert!(
+            !self.groups.is_empty(),
+            "push_open_item requires an open group"
+        );
+        let record = self
             .items
-            .push(item);
+            .encode(&Placement::new(0, item.start, item.len, item.kind));
+        self.items.push(record);
+        self.close_item();
     }
 
     /// Closes the group opened by [`CompactSchedule::begin_group`], dropping
@@ -233,9 +346,11 @@ impl CompactSchedule {
     pub fn end_group(&mut self) {
         if matches!(
             self.groups.last(),
-            Some(g) if g.count == 0 || g.config.items.is_empty()
+            Some(g) if g.count == 0 || g.start == g.end
         ) {
-            self.groups.pop();
+            let g = self.groups.pop().expect("matched above");
+            self.items.records.truncate(g.start);
+            self.items.refresh_max_end();
         }
     }
 
@@ -245,7 +360,7 @@ impl CompactSchedule {
     pub fn total_items(&self) -> usize {
         self.groups
             .iter()
-            .map(|g| g.config.items.len() * g.count)
+            .map(|g| (g.end - g.start) * g.count)
             .sum()
     }
 
@@ -253,33 +368,39 @@ impl CompactSchedule {
     /// near-linear algorithms actually write).
     #[must_use]
     pub fn stored_items(&self) -> usize {
-        self.groups.iter().map(|g| g.config.items.len()).sum()
+        self.items.records.len()
     }
 
-    /// Makespan over all groups.
+    /// Makespan over all groups, in `O(1)`.
     #[must_use]
     pub fn makespan(&self) -> Rational {
-        self.groups
-            .iter()
-            .map(|g| g.config.end())
-            .max()
-            .unwrap_or(Rational::ZERO)
+        self.items.makespan()
     }
 
     /// Total processing time assigned to job `job`, counting multiplicities.
     #[must_use]
     pub fn job_assigned(&self, job: JobId) -> Rational {
-        let mut total = Rational::ZERO;
+        let mut total = 0i128;
         for g in &self.groups {
-            for item in &g.config.items {
-                if let ItemKind::Piece { job: j, .. } = item.kind {
-                    if j == job {
-                        total += item.len * g.count;
-                    }
+            let count = i128::try_from(g.count).expect("count fits i128");
+            for item in &self.items.records[g.start..g.end] {
+                if item.kind.job() == Some(job) {
+                    total = item
+                        .len
+                        .checked_mul(count)
+                        .and_then(|l| total.checked_add(l))
+                        .expect("Rational overflow");
                 }
             }
         }
-        total
+        Rational::new(total, self.items.grid)
+    }
+
+    /// The violation of a group reaching past the last machine.
+    fn out_of_range(&self, g: &GroupRecord) -> Option<Violation> {
+        (g.first_machine + g.count > self.machines).then(|| Violation::MachineOutOfRange {
+            machine: g.first_machine + g.count - 1,
+        })
     }
 
     /// Streams the explicit placements into `sink`, once, in group order —
@@ -291,35 +412,92 @@ impl CompactSchedule {
     /// machine (e.g. a hand-edited or deserialized schedule); placements
     /// emitted before the offending group remain in `sink`.
     pub fn expand_into<S: PlacementSink>(&self, sink: &mut S) -> Result<(), Violation> {
+        let grid = self.items.grid;
         for g in &self.groups {
-            if g.first_machine + g.count > self.machines {
-                return Err(Violation::MachineOutOfRange {
-                    machine: g.first_machine + g.count - 1,
-                });
+            if let Some(v) = self.out_of_range(g) {
+                return Err(v);
             }
-            for k in 0..g.count {
-                for item in &g.config.items {
-                    sink.place(Placement::new(
-                        g.first_machine + k,
-                        item.start,
-                        item.len,
-                        item.kind,
-                    ));
+            for machine in g.first_machine..g.first_machine + g.count {
+                for r in &self.items.records[g.start..g.end] {
+                    sink.place(Placement {
+                        machine,
+                        ..r.decode(grid)
+                    });
                 }
             }
         }
         Ok(())
     }
 
-    /// Materializes the explicit schedule. Runs in `O(total_items + m)`.
+    /// Materializes the explicit schedule, on this schedule's grid: a copy
+    /// of the stored records with no arithmetic. Runs in
+    /// `O(total_items + m)`.
     ///
     /// # Errors
     /// [`Violation::MachineOutOfRange`] when a group extends past the last
     /// machine — malformed input is reported, never aborted on.
     pub fn expand(&self) -> Result<Schedule, Violation> {
-        let mut schedule = Schedule::new(self.machines);
-        self.expand_into(&mut schedule)?;
+        // Range checks first: only then is `total_items` bounded by the
+        // machine count, and safe to reserve.
+        if let Some(v) = self.groups.iter().find_map(|g| self.out_of_range(g)) {
+            return Err(v);
+        }
+        let mut schedule = Schedule::with_grid(self.machines, self.items.grid);
+        schedule.reserve(self.total_items());
+        for g in &self.groups {
+            for machine in g.first_machine..g.first_machine + g.count {
+                schedule.extend_records(machine, &self.items.records[g.start..g.end]);
+            }
+        }
         Ok(schedule)
+    }
+
+    fn group_ref(&self, g: &GroupRecord) -> GroupRef<'_> {
+        GroupRef {
+            first_machine: g.first_machine,
+            count: g.count,
+            items: &self.items.records[g.start..g.end],
+            grid: self.items.grid,
+        }
+    }
+}
+
+/// One group of a [`CompactSchedule`]: its configuration repeated on
+/// machines `first_machine .. first_machine + count`.
+#[derive(Debug, Clone, Copy)]
+pub struct GroupRef<'a> {
+    /// First machine of the group.
+    pub first_machine: usize,
+    /// Number of consecutive machines.
+    pub count: usize,
+    items: &'a [Record],
+    grid: i128,
+}
+
+impl<'a> GroupRef<'a> {
+    /// The configuration's items, decoded.
+    pub fn items(&self) -> impl ExactSizeIterator<Item = ConfigItem> + 'a {
+        let grid = self.grid;
+        self.items.iter().map(move |r| {
+            let p = r.decode(grid);
+            ConfigItem {
+                start: p.start,
+                len: p.len,
+                kind: p.kind,
+            }
+        })
+    }
+
+    /// The group as an owned value.
+    #[must_use]
+    pub fn to_group(&self) -> ConfigGroup {
+        ConfigGroup {
+            first_machine: self.first_machine,
+            count: self.count,
+            config: MachineConfig {
+                items: self.items().collect(),
+            },
+        }
     }
 }
 
@@ -457,8 +635,22 @@ mod tests {
             },
         );
         cs.reset(5);
-        assert!(cs.groups().is_empty());
+        assert_eq!(cs.groups().len(), 0);
         assert_eq!(cs.machines(), 5);
+    }
+
+    #[test]
+    fn expand_reports_a_huge_out_of_range_group_without_allocating_it() {
+        let json = r#"{"machines": 1, "groups": [{"first_machine": 0, "count": 1099511627776,
+            "config": {"items": [{"start": {"num": 0, "den": 1}, "len": {"num": 1, "den": 1},
+            "kind": {"Setup": 0}}]}}]}"#;
+        let cs: CompactSchedule = bss_json::decode(json).unwrap();
+        assert_eq!(
+            cs.expand().unwrap_err(),
+            Violation::MachineOutOfRange {
+                machine: (1 << 40) - 1
+            }
+        );
     }
 
     #[test]
@@ -470,7 +662,7 @@ mod tests {
             1,
             MachineConfig::default(), // empty config
         );
-        assert!(cs.groups().is_empty());
+        assert_eq!(cs.groups().len(), 0);
         assert_eq!(cs.makespan(), Rational::ZERO);
     }
 }

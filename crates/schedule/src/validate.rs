@@ -33,7 +33,7 @@
 use bss_instance::{Instance, Variant};
 use bss_rational::Rational;
 
-use crate::{CompactSchedule, ItemKind, Schedule};
+use crate::{CompactSchedule, ConfigGroup, ItemKind, Schedule};
 
 /// A feasibility violation, with enough context to debug the offending
 /// algorithm.
@@ -242,13 +242,14 @@ fn sweep_timeline<'a>(
 pub fn validate(schedule: &Schedule, instance: &Instance, variant: Variant) -> Vec<Violation> {
     let mut violations = Vec::new();
     let m = instance.machines();
-    let placements = schedule.placements();
+    // The walk below sorts indices into decoded values.
+    let placements = schedule.placements().collect::<Vec<_>>();
 
     // 0. Magnitude guard: all later arithmetic (cross-multiplied comparisons,
     // `start + len`) is exact and panics on i128 overflow, so reject times
     // outside the wire-format bounds up front. Feasible schedules sit many
     // orders of magnitude below the bounds.
-    for p in placements {
+    for p in &placements {
         let end_bounded = p.start.checked_add(p.len).is_some_and(bounded);
         if !bounded(p.start) || !bounded(p.len) || !end_bounded {
             return vec![Violation::TimeOverflow];
@@ -408,13 +409,13 @@ pub fn validate_compact(
 ) -> Vec<Violation> {
     let mut violations = Vec::new();
     let m = instance.machines();
-    let groups = cs.groups();
+    let groups: Vec<ConfigGroup> = cs.groups().map(|g| g.to_group()).collect();
 
     // 0. Magnitude guard over stored items (cf. `validate` step 0).
     // Non-positive-length items are skipped throughout: expansion drops
     // them (`Schedule::push` keeps only positive lengths), so judging them
     // here would diverge from the explicit walk on the expansion.
-    for g in groups {
+    for g in &groups {
         for item in &g.config.items {
             if !item.len.is_positive() {
                 continue;
@@ -758,12 +759,11 @@ mod tests {
     fn detects_incomplete_job() {
         let mut s = good();
         // Shorten job 1's piece.
-        let placements = s.placements_mut();
-        let idx = placements
-            .iter()
+        let idx = s
+            .placements()
             .position(|p| matches!(p.kind, ItemKind::Piece { job: 1, .. }))
             .unwrap();
-        placements[idx].len = r(2);
+        s.edit(idx, |p| p.len = r(2));
         let vs = validate(&s, &instance(), Variant::Splittable);
         assert!(vs
             .iter()
@@ -773,12 +773,11 @@ mod tests {
     #[test]
     fn detects_wrong_piece_class() {
         let mut s = good();
-        let placements = s.placements_mut();
-        let idx = placements
-            .iter()
+        let idx = s
+            .placements()
             .position(|p| matches!(p.kind, ItemKind::Piece { job: 2, .. }))
             .unwrap();
-        placements[idx].kind = ItemKind::Piece { job: 2, class: 0 };
+        s.edit(idx, |p| p.kind = ItemKind::Piece { job: 2, class: 0 });
         let vs = validate(&s, &instance(), Variant::Splittable);
         assert!(vs
             .iter()
@@ -822,8 +821,7 @@ mod tests {
     #[test]
     fn missing_job_detected() {
         let mut s = good();
-        s.placements_mut()
-            .retain(|p| !matches!(p.kind, ItemKind::Piece { job: 2, .. }));
+        s.retain(|p| !matches!(p.kind, ItemKind::Piece { job: 2, .. }));
         let vs = validate(&s, &instance(), Variant::Splittable);
         assert!(vs
             .iter()

@@ -177,7 +177,6 @@ pub fn orders_from_schedule(schedule: &Schedule, reduced: &Instance) -> Vec<Vec<
     let mut orders: Vec<Vec<usize>> = vec![Vec::new(); schedule.machines()];
     let mut spans: Vec<(usize, bss_rational::Rational, usize)> = schedule
         .placements()
-        .iter()
         .filter_map(|p| match p.kind {
             ItemKind::Piece { job, .. } => Some((p.machine, p.start, reduced.job(job).class)),
             ItemKind::Setup(_) => None,

@@ -305,7 +305,7 @@ mod tests {
         // And nothing was committed to a sink on rejection.
         let mut out = Schedule::new(inst.machines());
         assert!(!build_into(&mut scratch, &inst, t, &mut out));
-        assert!(out.placements().is_empty());
+        assert!(out.placements().len() == 0);
     }
 
     #[test]

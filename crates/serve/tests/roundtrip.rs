@@ -837,6 +837,54 @@ fn oversized_response_gets_a_typed_error_and_keeps_the_connection() {
     server.shutdown();
 }
 
+/// A client that declares a maximal frame and stalls pins a bounded read
+/// buffer, not the declared 32 MiB, and does not hold up anyone else: a
+/// second client's solve completes bit-identically meanwhile.
+#[test]
+fn stalled_large_frame_does_not_block_other_clients() {
+    use std::io::Write;
+
+    let config = small_config();
+    let declared = config.max_frame_bytes;
+    assert_eq!(declared, 32 << 20);
+    let server = test_server(config);
+    let mut stalled = std::net::TcpStream::connect(server.addr()).unwrap();
+    stalled
+        .write_all(&u32::try_from(declared).unwrap().to_be_bytes())
+        .unwrap();
+    stalled.write_all(b"{\"op\": \"solve\", ").unwrap();
+    stalled.flush().unwrap();
+
+    let mut client = Client::connect(server.addr()).unwrap();
+    let instance = bss_gen::uniform(60, 6, 4, 77);
+    for variant in Variant::ALL {
+        let outcome = client
+            .solve(
+                &instance,
+                variant,
+                Algorithm::ThreeHalves,
+                SolveOptions {
+                    want_schedule: true,
+                    ..SolveOptions::default()
+                },
+            )
+            .unwrap();
+        let SolveOutcome::Solved { solution, .. } = outcome else {
+            panic!("unloaded server shed a request");
+        };
+        let local = solve(&instance, variant, Algorithm::ThreeHalves);
+        assert_wire_matches(
+            &format!("{variant:?} beside a stalled frame"),
+            &solution,
+            &local,
+        );
+    }
+    // The stalled connection is still open; closing it mid-frame ends its
+    // connection thread with a truncated-frame error.
+    drop(stalled);
+    server.shutdown();
+}
+
 #[test]
 fn solve_after_shutdown_gets_a_typed_error_not_a_hang() {
     let server = test_server(small_config());

@@ -2,10 +2,10 @@
 //!
 //! Batch Wrapping generalizes McNaughton's wrap-around rule to scheduling with
 //! setup times. A [`Template`] is a list of *gaps* — free time windows
-//! `[a_r, b_r)` on strictly increasing machines — and a [`WrapSequence`] is a
-//! flat sequence of batches `[s_{i_1}, C'_1, s_{i_2}, C'_2, …]`. [`wrap`]
-//! pours the sequence into the gaps in order; when an item hits a gap's upper
-//! border `b_r`:
+//! `[a_r, b_r)` on strictly increasing machines — and a wrap sequence is a
+//! flat sequence of batches `[s_{i_1}, C'_1, s_{i_2}, C'_2, …]`, streamed as
+//! [`SeqItem`]s (see [`batch_items`]). [`wrap`] pours the sequence into the
+//! gaps in order; when an item hits a gap's upper border `b_r`:
 //!
 //! * a **setup** is moved *below* the next gap (to `[a_{r+1} - s, a_{r+1})`),
 //! * a **job piece** is split at the border (like McNaughton), and a fresh
@@ -16,6 +16,14 @@
 //! (`S(ω) >= L(Q)`) and free time of at least the largest moved setup below
 //! every gap but the first. [`wrap`] reports structural failures
 //! ([`WrapError`]) instead of producing garbage.
+//!
+//! ## Ticks
+//!
+//! Gap borders, item lengths and the wrap cursor are `i128` ticks of the
+//! target schedule's grid `1/D` (see [`bss_schedule::Schedule::grid`]): the
+//! caller fixes `D` on the output before wrapping, so `Split`'s fit test and
+//! remainder are one integer add and compare, and the emitted items are
+//! stored as they are.
 //!
 //! ## The parallel-gap fast path
 //!
@@ -38,8 +46,6 @@ mod template;
 mod wrapper;
 
 pub use mcnaughton::{mcnaughton, McNaughtonSchedule};
-pub use sequence::{SeqItem, SeqKind, WrapSequence};
+pub use sequence::{SeqItem, SeqKind};
 pub use template::{GapRun, Template};
-pub use wrapper::{
-    batch_items, wrap, wrap_append, wrap_explicit, wrap_into, wrap_iter_append, WrapError,
-};
+pub use wrapper::{batch_items, wrap, wrap_append, wrap_into, WrapError};

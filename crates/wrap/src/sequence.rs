@@ -1,7 +1,11 @@
-//! Wrap sequences (Definition 2): flat batch sequences `[s_i, C'_i]`.
+//! Items of wrap sequences (Definition 2): flat batch sequences
+//! `[s_i, C'_i]`, streamed into the wrapper (see [`crate::batch_items`]).
+//!
+//! Lengths are ticks of the wrap target's grid (see
+//! [`bss_schedule::Schedule::grid`]); a caller with integral data wraps on
+//! the integer grid, where a tick is one time unit.
 
 use bss_instance::{ClassId, JobId};
-use bss_rational::Rational;
 
 /// Whether a sequence item is a setup or a job piece.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -19,142 +23,7 @@ pub struct SeqItem {
     pub class: ClassId,
     /// Setup or job piece.
     pub kind: SeqKind,
-    /// Length; job pieces may have rational lengths (knapsack splits).
-    pub len: Rational,
-}
-
-/// A wrap sequence `Q = [s_{i_l}, C'_l]_{l ∈ [k]}`.
-///
-/// Built batch by batch: a setup followed by the jobs (or job pieces) of that
-/// class. Nothing forbids repeating a class later in the sequence — the
-/// preemptive algorithm's bottom-of-large-machines wrap does exactly that.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct WrapSequence {
-    items: Vec<SeqItem>,
-    load: Rational,
-}
-
-impl WrapSequence {
-    /// An empty sequence.
-    #[must_use]
-    pub fn new() -> Self {
-        WrapSequence::default()
-    }
-
-    /// Clears the sequence for reuse, keeping the item buffer's capacity
-    /// (workspaces rebuild a fresh sequence per guess without reallocating).
-    pub fn clear(&mut self) {
-        self.items.clear();
-        self.load = Rational::ZERO;
-    }
-
-    /// Appends a setup of `class` with length `len`.
-    pub fn push_setup(&mut self, class: ClassId, len: Rational) {
-        debug_assert!(len.is_positive(), "setups have positive length");
-        self.items.push(SeqItem {
-            class,
-            kind: SeqKind::Setup,
-            len,
-        });
-        self.load += len;
-    }
-
-    /// Appends a piece of `job` (class `class`) with length `len`.
-    /// Zero-length pieces are dropped.
-    pub fn push_piece(&mut self, class: ClassId, job: JobId, len: Rational) {
-        debug_assert!(!len.is_negative(), "piece length must be non-negative");
-        if len.is_positive() {
-            self.items.push(SeqItem {
-                class,
-                kind: SeqKind::Piece(job),
-                len,
-            });
-            self.load += len;
-        }
-    }
-
-    /// Appends a whole batch: setup then pieces.
-    pub fn push_batch(
-        &mut self,
-        class: ClassId,
-        setup: Rational,
-        pieces: impl IntoIterator<Item = (JobId, Rational)>,
-    ) {
-        self.push_setup(class, setup);
-        for (job, len) in pieces {
-            self.push_piece(class, job, len);
-        }
-    }
-
-    /// The items in order.
-    #[must_use]
-    pub fn items(&self) -> &[SeqItem] {
-        &self.items
-    }
-
-    /// Number of items `|Q|`.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// `true` iff the sequence has no items.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
-    /// The load `L(Q) = Σ (s_{i_l} + P(C'_l))`.
-    #[must_use]
-    pub fn load(&self) -> Rational {
-        self.load
-    }
-
-    /// Largest setup length in the sequence (`s^(Q)_max` of Lemma 6), zero if
-    /// the sequence has no setups.
-    #[must_use]
-    pub fn max_setup(&self) -> Rational {
-        self.items
-            .iter()
-            .filter(|i| matches!(i.kind, SeqKind::Setup))
-            .map(|i| i.len)
-            .max()
-            .unwrap_or(Rational::ZERO)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn r(v: i128) -> Rational {
-        Rational::from_int(v)
-    }
-
-    #[test]
-    fn batch_building_and_load() {
-        let mut q = WrapSequence::new();
-        q.push_batch(0, r(3), [(0, r(4)), (1, r(5))]);
-        q.push_batch(1, r(1), [(2, r(2))]);
-        assert_eq!(q.len(), 5);
-        assert_eq!(q.load(), r(15));
-        assert_eq!(q.max_setup(), r(3));
-        assert!(!q.is_empty());
-    }
-
-    #[test]
-    fn zero_length_pieces_dropped() {
-        let mut q = WrapSequence::new();
-        q.push_batch(0, r(1), [(0, r(0)), (1, r(2))]);
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.load(), r(3));
-    }
-
-    #[test]
-    fn empty_sequence() {
-        let q = WrapSequence::new();
-        assert!(q.is_empty());
-        assert_eq!(q.load(), Rational::ZERO);
-        assert_eq!(q.max_setup(), Rational::ZERO);
-    }
+    /// Length in ticks; job pieces may be fractional time units (knapsack
+    /// splits), which the caller's grid represents exactly.
+    pub len: i128,
 }

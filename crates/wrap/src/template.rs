@@ -1,6 +1,7 @@
 //! Wrap templates (Definition 2).
-
-use bss_rational::Rational;
+//!
+//! Gap borders are ticks of the wrap target's grid (see
+//! [`bss_schedule::Schedule::grid`]).
 
 /// `count` identical gaps `[a, b)` on consecutive machines
 /// `first_machine .. first_machine + count`.
@@ -13,16 +14,16 @@ pub struct GapRun {
     pub first_machine: usize,
     /// Number of consecutive machines, each carrying one gap.
     pub count: usize,
-    /// Lower border of each gap (`0 <= a < b`).
-    pub a: Rational,
-    /// Upper border of each gap.
-    pub b: Rational,
+    /// Lower border of each gap in ticks (`0 <= a < b`).
+    pub a: i128,
+    /// Upper border of each gap in ticks.
+    pub b: i128,
 }
 
 impl GapRun {
     /// A single gap on `machine`.
     #[must_use]
-    pub fn single(machine: usize, a: Rational, b: Rational) -> Self {
+    pub fn single(machine: usize, a: i128, b: i128) -> Self {
         GapRun {
             first_machine: machine,
             count: 1,
@@ -33,14 +34,14 @@ impl GapRun {
 
     /// Provided time of one gap, `b - a`.
     #[must_use]
-    pub fn height(&self) -> Rational {
+    pub fn height(&self) -> i128 {
         self.b - self.a
     }
 
     /// Provided time of the whole run.
     #[must_use]
-    pub fn capacity(&self) -> Rational {
-        self.height() * self.count
+    pub fn capacity(&self) -> i128 {
+        self.height() * self.count as i128
     }
 }
 
@@ -77,7 +78,7 @@ impl Template {
         for run in runs {
             assert!(run.count > 0, "empty gap run");
             assert!(
-                !run.a.is_negative() && run.a < run.b,
+                run.a >= 0 && run.a < run.b,
                 "malformed gap [{}, {})",
                 run.a,
                 run.b
@@ -94,7 +95,7 @@ impl Template {
 
     /// Template over single gaps, convenience for tests and simple callers.
     #[must_use]
-    pub fn from_gaps(gaps: Vec<(usize, Rational, Rational)>) -> Self {
+    pub fn from_gaps(gaps: Vec<(usize, i128, i128)>) -> Self {
         Template::new(
             gaps.into_iter()
                 .map(|(machine, a, b)| GapRun::single(machine, a, b))
@@ -116,11 +117,8 @@ impl Template {
 
     /// Provided period of time `S(ω) = Σ (b_r - a_r)`.
     #[must_use]
-    pub fn capacity(&self) -> Rational {
-        self.runs
-            .iter()
-            .map(GapRun::capacity)
-            .fold(Rational::ZERO, |x, y| x + y)
+    pub fn capacity(&self) -> i128 {
+        self.runs.iter().map(GapRun::capacity).sum()
     }
 }
 
@@ -128,8 +126,8 @@ impl Template {
 mod tests {
     use super::*;
 
-    fn r(v: i128) -> Rational {
-        Rational::from_int(v)
+    fn r(v: i128) -> i128 {
+        v
     }
 
     #[test]

@@ -4,17 +4,18 @@
 //! The wrapper is generic over its *emission target* ([`WrapEmit`]): the same
 //! placement logic either appends configuration groups to a
 //! [`CompactSchedule`] ([`wrap`], [`wrap_append`]) or streams explicit
-//! placements straight into a [`PlacementSink`] ([`wrap_into`]) — the
+//! placements straight into a [`Schedule`] ([`wrap_into`]) — the
 //! compact-first pipeline's way of writing a wrap result into its final
-//! destination exactly once, with no intermediate `Schedule`.
+//! destination exactly once.
+//!
+//! All times are ticks of the target's grid, so the fit test and the split
+//! remainder of `Split` are one `i128` add and compare.
 
 use bss_instance::ClassId;
 use bss_rational::Rational;
-use bss_schedule::{
-    CompactSchedule, ConfigItem, ItemKind, MachineConfig, Placement, PlacementSink,
-};
+use bss_schedule::{to_ticks, CompactSchedule, ItemKind, Schedule};
 
-use crate::{GapRun, SeqItem, SeqKind, Template, WrapSequence};
+use crate::{GapRun, SeqItem, SeqKind, Template};
 
 /// Structural failures of a wrap. Under Lemma 6's preconditions these never
 /// occur; the dual algorithms treat them as "reject this makespan guess".
@@ -51,16 +52,27 @@ impl core::fmt::Display for WrapError {
 
 impl std::error::Error for WrapError {}
 
+/// One emitted item, machine-relative, in ticks.
+#[derive(Debug, Clone, Copy)]
+struct Tick {
+    start: i128,
+    len: i128,
+    kind: ItemKind,
+}
+
 /// Where wrapped items go: one call per single-machine item, one call per
 /// parallel-gap group. Machines arrive in non-decreasing order (gaps live on
 /// strictly increasing machines).
 trait WrapEmit {
+    /// The grid of the target: the items' ticks are multiples of `1/grid`.
+    fn grid(&self) -> i128;
+
     /// An item on a single machine.
-    fn item(&mut self, machine: usize, item: ConfigItem);
+    fn item(&mut self, machine: usize, item: Tick);
 
     /// A `(setup, piece)` configuration repeated on `count` consecutive
     /// machines (the parallel-gap fast path).
-    fn group(&mut self, first_machine: usize, count: usize, setup: ConfigItem, piece: ConfigItem);
+    fn group(&mut self, first_machine: usize, count: usize, setup: Tick, piece: Tick);
 
     /// Called once after the sequence is fully placed.
     fn finish(&mut self);
@@ -76,15 +88,7 @@ struct GroupEmit<'a> {
     open: bool,
 }
 
-impl<'a> GroupEmit<'a> {
-    fn new(out: &'a mut CompactSchedule) -> Self {
-        GroupEmit {
-            out,
-            machine: 0,
-            open: false,
-        }
-    }
-
+impl GroupEmit<'_> {
     fn close(&mut self) {
         if self.open {
             self.out.end_group();
@@ -94,25 +98,26 @@ impl<'a> GroupEmit<'a> {
 }
 
 impl WrapEmit for GroupEmit<'_> {
-    fn item(&mut self, machine: usize, item: ConfigItem) {
+    fn grid(&self) -> i128 {
+        self.out.grid()
+    }
+
+    fn item(&mut self, machine: usize, item: Tick) {
         if !self.open || machine != self.machine {
             self.close();
             self.out.begin_group(machine, 1);
             self.machine = machine;
             self.open = true;
         }
-        self.out.push_open_item(item);
+        self.out.push_open_ticks(item.start, item.len, item.kind);
     }
 
-    fn group(&mut self, first_machine: usize, count: usize, setup: ConfigItem, piece: ConfigItem) {
+    fn group(&mut self, first_machine: usize, count: usize, setup: Tick, piece: Tick) {
         self.close();
-        self.out.push_group(
-            first_machine,
-            count,
-            MachineConfig {
-                items: vec![setup, piece],
-            },
-        );
+        self.out.begin_group(first_machine, count);
+        self.out.push_open_ticks(setup.start, setup.len, setup.kind);
+        self.out.push_open_ticks(piece.start, piece.len, piece.kind);
+        self.out.end_group();
         self.machine = first_machine + count;
     }
 
@@ -121,26 +126,27 @@ impl WrapEmit for GroupEmit<'_> {
     }
 }
 
-/// Streams explicit placements into a [`PlacementSink`]; fast-path groups
-/// are unrolled (that cost is exactly what any later expansion would pay —
-/// paid once, at the final destination).
-struct StreamEmit<'a, S: PlacementSink> {
-    sink: &'a mut S,
+/// Streams explicit placements into a [`Schedule`]; fast-path groups are
+/// unrolled (that cost is exactly what any later expansion would pay — paid
+/// once, at the final destination).
+struct StreamEmit<'a> {
+    out: &'a mut Schedule,
 }
 
-impl<S: PlacementSink> WrapEmit for StreamEmit<'_, S> {
-    fn item(&mut self, machine: usize, item: ConfigItem) {
-        self.sink
-            .place(Placement::new(machine, item.start, item.len, item.kind));
+impl WrapEmit for StreamEmit<'_> {
+    fn grid(&self) -> i128 {
+        self.out.grid()
     }
 
-    fn group(&mut self, first_machine: usize, count: usize, setup: ConfigItem, piece: ConfigItem) {
-        for k in 0..count {
-            let u = first_machine + k;
-            self.sink
-                .place(Placement::new(u, setup.start, setup.len, setup.kind));
-            self.sink
-                .place(Placement::new(u, piece.start, piece.len, piece.kind));
+    fn item(&mut self, machine: usize, item: Tick) {
+        self.out
+            .push_ticks(machine, item.start, item.len, item.kind);
+    }
+
+    fn group(&mut self, first_machine: usize, count: usize, setup: Tick, piece: Tick) {
+        for u in first_machine..first_machine + count {
+            self.out.push_ticks(u, setup.start, setup.len, setup.kind);
+            self.out.push_ticks(u, piece.start, piece.len, piece.kind);
         }
     }
 
@@ -151,6 +157,8 @@ impl<S: PlacementSink> WrapEmit for StreamEmit<'_, S> {
 struct Wrapper<'a, E: WrapEmit> {
     runs: &'a [GapRun],
     setups: &'a [u64],
+    /// The target's grid, scaling the instance's setup times to ticks.
+    grid: i128,
     emit: E,
     /// Index of the current run.
     run: usize,
@@ -159,8 +167,8 @@ struct Wrapper<'a, E: WrapEmit> {
     /// Whether anything was emitted into the current gap yet (guards the
     /// parallel-gap fast path).
     gap_dirty: bool,
-    /// Current fill time within the current gap.
-    t: Rational,
+    /// Current fill time within the current gap, in ticks.
+    t: i128,
     /// Class the current gap's machine is configured for (reset per gap —
     /// every gap lives on its own machine).
     configured: Option<ClassId>,
@@ -168,15 +176,15 @@ struct Wrapper<'a, E: WrapEmit> {
 
 impl<'a, E: WrapEmit> Wrapper<'a, E> {
     fn new(runs: &'a [GapRun], setups: &'a [u64], emit: E) -> Self {
-        let t = runs.first().map(|r| r.a).unwrap_or(Rational::ZERO);
         Wrapper {
             runs,
             setups,
+            grid: emit.grid(),
             emit,
             run: 0,
             offset: 0,
             gap_dirty: false,
-            t,
+            t: runs.first().map_or(0, |r| r.a),
             configured: None,
         }
     }
@@ -185,11 +193,11 @@ impl<'a, E: WrapEmit> Wrapper<'a, E> {
         self.run >= self.runs.len()
     }
 
-    fn gap_a(&self) -> Rational {
+    fn gap_a(&self) -> i128 {
         self.runs[self.run].a
     }
 
-    fn gap_b(&self) -> Rational {
+    fn gap_b(&self) -> i128 {
         self.runs[self.run].b
     }
 
@@ -198,7 +206,17 @@ impl<'a, E: WrapEmit> Wrapper<'a, E> {
         r.first_machine + self.offset
     }
 
-    fn push(&mut self, item: ConfigItem) {
+    /// The setup time of `class` in ticks.
+    fn setup_ticks(&self, class: ClassId) -> i128 {
+        to_ticks(self.setups[class], self.grid)
+    }
+
+    /// `ticks` as a time value, for error reports.
+    fn value(&self, ticks: i128) -> Rational {
+        Rational::new(ticks, self.grid)
+    }
+
+    fn push(&mut self, item: Tick) {
         let machine = self.machine();
         self.emit.item(machine, item);
         self.gap_dirty = true;
@@ -223,12 +241,12 @@ impl<'a, E: WrapEmit> Wrapper<'a, E> {
 
     /// Places a setup of `class` below the current gap (`[a - s, a)`).
     fn setup_below(&mut self, class: ClassId) -> Result<(), WrapError> {
-        let s = Rational::from(self.setups[class]);
+        let s = self.setup_ticks(class);
         let start = self.gap_a() - s;
-        if start.is_negative() {
+        if start < 0 {
             return Err(WrapError::SetupBelowZero { class });
         }
-        self.push(ConfigItem {
+        self.push(Tick {
             start,
             len: s,
             kind: ItemKind::Setup(class),
@@ -237,16 +255,18 @@ impl<'a, E: WrapEmit> Wrapper<'a, E> {
         Ok(())
     }
 
-    fn place_setup(&mut self, class: ClassId, len: Rational) -> Result<(), WrapError> {
-        let end = self.t + len;
+    fn place_setup(&mut self, class: ClassId, len: i128) -> Result<(), WrapError> {
+        let end = self.t.checked_add(len).expect("Rational overflow");
         if end > self.gap_b() {
             // Crossing setup: move it below the next gap.
             if !self.advance() {
-                return Err(WrapError::OutOfSpace { unplaced: len });
+                return Err(WrapError::OutOfSpace {
+                    unplaced: self.value(len),
+                });
             }
             self.setup_below(class)?;
         } else {
-            self.push(ConfigItem {
+            self.push(Tick {
                 start: self.t,
                 len,
                 kind: ItemKind::Setup(class),
@@ -257,39 +277,36 @@ impl<'a, E: WrapEmit> Wrapper<'a, E> {
         Ok(())
     }
 
-    fn place_piece(&mut self, class: ClassId, job: usize, len: Rational) -> Result<(), WrapError> {
+    fn place_piece(&mut self, class: ClassId, job: usize, len: i128) -> Result<(), WrapError> {
+        let kind = ItemKind::Piece { job, class };
         let mut remaining = len;
         loop {
             // A piece entering a fresh gap mid-class needs its setup below.
             if self.configured != Some(class) {
                 self.setup_below(class)?;
             }
-            // Fit test on the end point: `t + remaining` adds an integer job
-            // length to a gap position without a gcd, where `gap_b - t`
-            // would reduce a fraction on every item. `avail` is formed only
-            // when the piece splits.
-            let end = self.t + remaining;
+            let end = self.t.checked_add(remaining).expect("Rational overflow");
             if end <= self.gap_b() {
-                self.push(ConfigItem {
+                self.push(Tick {
                     start: self.t,
                     len: remaining,
-                    kind: ItemKind::Piece { job, class },
+                    kind,
                 });
                 self.t = end;
                 return Ok(());
             }
             let avail = self.gap_b() - self.t;
-            if avail.is_positive() {
-                self.push(ConfigItem {
+            if avail > 0 {
+                self.push(Tick {
                     start: self.t,
                     len: avail,
-                    kind: ItemKind::Piece { job, class },
+                    kind,
                 });
                 remaining -= avail;
             }
             if !self.advance() {
                 return Err(WrapError::OutOfSpace {
-                    unplaced: remaining,
+                    unplaced: self.value(remaining),
                 });
             }
             // Parallel-gap fast path: if the piece covers >= 1 whole gap and
@@ -299,29 +316,28 @@ impl<'a, E: WrapEmit> Wrapper<'a, E> {
             let full = run.b - run.a;
             if remaining >= full && !self.gap_dirty {
                 let gaps_left = run.count - self.offset;
-                let needed = (remaining / full).floor() as usize;
-                let mult = needed.min(gaps_left);
+                let mult = (remaining / full).min(gaps_left as i128) as usize;
                 if mult >= 1 {
-                    let s = Rational::from(self.setups[class]);
+                    let s = self.setup_ticks(class);
                     let below_start = run.a - s;
-                    if below_start.is_negative() {
+                    if below_start < 0 {
                         return Err(WrapError::SetupBelowZero { class });
                     }
                     self.emit.group(
                         run.first_machine + self.offset,
                         mult,
-                        ConfigItem {
+                        Tick {
                             start: below_start,
                             len: s,
                             kind: ItemKind::Setup(class),
                         },
-                        ConfigItem {
+                        Tick {
                             start: run.a,
                             len: full,
-                            kind: ItemKind::Piece { job, class },
+                            kind,
                         },
                     );
-                    remaining -= full * mult;
+                    remaining -= full * mult as i128;
                     // Skip the covered gaps.
                     self.offset += mult;
                     self.configured = None;
@@ -330,21 +346,16 @@ impl<'a, E: WrapEmit> Wrapper<'a, E> {
                         self.run += 1;
                         self.offset = 0;
                     }
-                    if remaining.is_zero() {
+                    if remaining == 0 {
                         // Position the cursor on the next gap (if any) for the
-                        // following sequence item.
-                        if !self.exhausted() {
-                            self.t = self.gap_a();
-                        } else {
-                            // Fully used the template with an exact fit: mark
-                            // the cursor exhausted-but-done.
-                            self.t = Rational::ZERO;
-                        }
+                        // following sequence item; an exact fit of the whole
+                        // template leaves the cursor exhausted-but-done.
+                        self.t = if self.exhausted() { 0 } else { self.gap_a() };
                         return Ok(());
                     }
                     if self.exhausted() {
                         return Err(WrapError::OutOfSpace {
-                            unplaced: remaining,
+                            unplaced: self.value(remaining),
                         });
                     }
                     self.t = self.gap_a();
@@ -354,11 +365,8 @@ impl<'a, E: WrapEmit> Wrapper<'a, E> {
     }
 }
 
-/// The shared driver behind every public entry point.
-///
-/// Generic over the item *source*: a materialized [`WrapSequence`]'s items
-/// or any lazy iterator (the splittable builders stream their batches
-/// straight from the instance without assembling a sequence first).
+/// The shared driver behind every public entry point: wraps any item
+/// stream, such as chained [`batch_items`], without materializing it.
 fn run_wrap<E: WrapEmit>(
     items: impl IntoIterator<Item = SeqItem>,
     runs: &[GapRun],
@@ -369,7 +377,9 @@ fn run_wrap<E: WrapEmit>(
     let mut w = Wrapper::new(runs, setups, emit);
     for item in items {
         if w.exhausted() {
-            return Err(WrapError::OutOfSpace { unplaced: item.len });
+            return Err(WrapError::OutOfSpace {
+                unplaced: w.value(item.len),
+            });
         }
         match item.kind {
             SeqKind::Setup => w.place_setup(item.class, item.len)?,
@@ -381,23 +391,22 @@ fn run_wrap<E: WrapEmit>(
 }
 
 /// One batch as a lazy item stream: the setup of `class` followed by its
-/// pieces (zero-length pieces are dropped, matching
-/// [`WrapSequence::push_batch`]). Chain several of these into
-/// [`wrap_iter_append`] to wrap whole class families without materializing a
-/// sequence.
+/// pieces, lengths in ticks (zero-length pieces are dropped). Chain
+/// several of these into [`wrap_append`] or [`wrap_into`] to wrap whole
+/// class families without materializing a sequence.
 pub fn batch_items(
     class: ClassId,
-    setup: Rational,
-    pieces: impl IntoIterator<Item = (usize, Rational)>,
+    setup: i128,
+    pieces: impl IntoIterator<Item = (usize, i128)>,
 ) -> impl Iterator<Item = SeqItem> {
-    debug_assert!(setup.is_positive(), "setups have positive length");
+    debug_assert!(setup > 0, "setups have positive length");
     core::iter::once(SeqItem {
         class,
         kind: SeqKind::Setup,
         len: setup,
     })
     .chain(pieces.into_iter().filter_map(move |(job, len)| {
-        len.is_positive().then_some(SeqItem {
+        (len > 0).then_some(SeqItem {
             class,
             kind: SeqKind::Piece(job),
             len,
@@ -405,7 +414,9 @@ pub fn batch_items(
     }))
 }
 
-/// Wraps `seq` into `template` (the paper's `Wrap(Q, ω)`).
+/// Wraps `items` into `template` on the integer grid (the paper's
+/// `Wrap(Q, ω)` for integral data; wrap on a finer grid with
+/// [`wrap_append`] into a [`CompactSchedule::with_grid`]).
 ///
 /// `setups[i]` is the setup time of class `i`, used for the fresh setups that
 /// `Split` inserts below gaps. `machines` is the machine count of the target
@@ -413,20 +424,24 @@ pub fn batch_items(
 ///
 /// Runs in `O(|Q| + |runs(ω)|)` — note: runs, not gaps — and returns a
 /// [`CompactSchedule`] whose stored size is of the same order.
+///
+/// # Errors
+/// [`WrapError`] when Lemma 6's preconditions do not hold.
 pub fn wrap(
-    seq: &WrapSequence,
+    items: impl IntoIterator<Item = SeqItem>,
     template: &Template,
     setups: &[u64],
     machines: usize,
 ) -> Result<CompactSchedule, WrapError> {
     let mut out = CompactSchedule::new(machines);
-    wrap_append(seq, template.runs(), setups, &mut out)?;
+    wrap_append(items, template.runs(), setups, &mut out)?;
     Ok(out)
 }
 
 /// Like [`wrap`], but appends the configuration groups to an existing
-/// [`CompactSchedule`] — the builders' way of assembling one compact output
-/// from several wraps without cloning groups.
+/// [`CompactSchedule`], with `runs` and `items` in ticks of its grid — the
+/// builders' way of assembling one compact output from several wraps,
+/// streaming their items lazily (see [`batch_items`]).
 ///
 /// `runs` must satisfy the [`Template`] invariants (checked; machine indices
 /// of *this call* strictly increase — different calls may revisit machines).
@@ -435,84 +450,49 @@ pub fn wrap(
 /// On [`WrapError`] the groups emitted so far remain in `out`; callers treat
 /// wrap errors as a dual rejection and discard the whole output.
 pub fn wrap_append(
-    seq: &WrapSequence,
-    runs: &[GapRun],
-    setups: &[u64],
-    out: &mut CompactSchedule,
-) -> Result<(), WrapError> {
-    wrap_iter_append(seq.items().iter().copied(), runs, setups, out)
-}
-
-/// [`wrap_append`] over a lazy item stream (see [`batch_items`]): wraps the
-/// items without ever materializing a [`WrapSequence`] — the splittable
-/// builders' hot path, where sequence assembly used to dominate the build.
-///
-/// # Errors
-/// As [`wrap_append`]; on error the groups emitted so far remain in `out`.
-pub fn wrap_iter_append(
     items: impl IntoIterator<Item = SeqItem>,
     runs: &[GapRun],
     setups: &[u64],
     out: &mut CompactSchedule,
 ) -> Result<(), WrapError> {
-    run_wrap(items, runs, setups, GroupEmit::new(out))
-}
-
-/// Like [`wrap`], but streams the explicit placements of the wrap straight
-/// into `sink` — one copy, no intermediate schedule. Parallel-gap groups are
-/// unrolled per machine, so the cost is `O(|Q| + gaps touched)`.
-///
-/// # Errors
-/// On [`WrapError`] the placements emitted so far remain in `sink`; callers
-/// treat wrap errors as a dual rejection and discard the whole output.
-pub fn wrap_into<S: PlacementSink>(
-    seq: &WrapSequence,
-    runs: &[GapRun],
-    setups: &[u64],
-    sink: &mut S,
-) -> Result<(), WrapError> {
-    // A template past the sink's machine bound is a programming error in
-    // the calling algorithm; fail as loudly as the old expand() assert did.
-    if let Some(m) = sink.machine_bound() {
-        let last = runs.last().map_or(0, |r| r.first_machine + r.count);
-        assert!(
-            last <= m,
-            "template addresses machine {} but the sink has {m} machines",
-            last.saturating_sub(1),
-        );
-    }
     run_wrap(
-        seq.items().iter().copied(),
+        items,
         runs,
         setups,
-        StreamEmit { sink },
+        GroupEmit {
+            out,
+            machine: 0,
+            open: false,
+        },
     )
 }
 
-/// Like [`wrap`], but returns explicit placements (convenience for callers
-/// that want the raw list; streams once, no `Schedule` round trip).
+/// Like [`wrap_append`], but streams the explicit placements of the wrap
+/// straight into `out` — one copy, no intermediate schedule. Parallel-gap
+/// groups are unrolled per machine, so the cost is `O(|Q| + gaps touched)`.
+///
+/// # Errors
+/// On [`WrapError`] the placements emitted so far remain in `out`; callers
+/// treat wrap errors as a dual rejection and discard the whole output.
 ///
 /// # Panics
-/// Panics when the template addresses machines `>= machines` (a programming
-/// error in the calling algorithm, like [`Template::new`]'s own invariants).
-pub fn wrap_explicit(
-    seq: &WrapSequence,
-    template: &Template,
+/// Panics when the template addresses machines past `out`'s machine count
+/// (a programming error in the calling algorithm, like [`Template::new`]'s
+/// own invariants).
+pub fn wrap_into(
+    items: impl IntoIterator<Item = SeqItem>,
+    runs: &[GapRun],
     setups: &[u64],
-    machines: usize,
-) -> Result<Vec<Placement>, WrapError> {
-    let last = template
-        .runs()
-        .last()
-        .map_or(0, |r| r.first_machine + r.count);
+    out: &mut Schedule,
+) -> Result<(), WrapError> {
+    let m = out.machines();
+    let last = runs.last().map_or(0, |r| r.first_machine + r.count);
     assert!(
-        last <= machines,
-        "template addresses machine {} but the schedule has {machines} machines",
+        last <= m,
+        "template addresses machine {} but the schedule has {m} machines",
         last.saturating_sub(1),
     );
-    let mut placements = Vec::new();
-    wrap_into(seq, template.runs(), setups, &mut placements)?;
-    Ok(placements)
+    run_wrap(items, runs, setups, StreamEmit { out })
 }
 
 #[cfg(test)]
@@ -521,7 +501,7 @@ mod tests {
     use bss_rational::Rational;
     use bss_schedule::Schedule;
 
-    use crate::{GapRun, Template, WrapSequence};
+    use crate::{GapRun, SeqItem, Template};
 
     use super::*;
 
@@ -529,13 +509,19 @@ mod tests {
         Rational::from_int(v)
     }
 
+    fn piece_total(s: &Schedule) -> Rational {
+        s.placements()
+            .filter(|p| !p.kind.is_setup())
+            .map(|p| p.len)
+            .fold(Rational::ZERO, |a, b| a + b)
+    }
+
     /// Wrap a single batch into one big gap: everything lands sequentially.
     #[test]
     fn single_gap_sequential() {
-        let mut q = WrapSequence::new();
-        q.push_batch(0, r(2), [(0, r(3)), (1, r(4))]);
-        let template = Template::from_gaps(vec![(0, r(0), r(20))]);
-        let out = wrap(&q, &template, &[2], 1).unwrap();
+        let q = batch_items(0, 2, [(0, 3), (1, 4)]);
+        let template = Template::from_gaps(vec![(0, 0, 20)]);
+        let out = wrap(q, &template, &[2], 1).unwrap();
         let s = out.expand().unwrap();
         assert_eq!(s.machine_load(0), r(9));
         assert_eq!(s.makespan(), r(9));
@@ -546,11 +532,10 @@ mod tests {
     /// the next gap.
     #[test]
     fn split_inserts_setup_below() {
-        let mut q = WrapSequence::new();
-        q.push_batch(0, r(2), [(0, r(10))]);
+        let q = batch_items(0, 2, [(0, 10)]);
         // Gap 1: [0, 8) on machine 0; gap 2: [2, 10) on machine 1.
-        let template = Template::from_gaps(vec![(0, r(0), r(8)), (1, r(2), r(10))]);
-        let out = wrap(&q, &template, &[2], 2).unwrap();
+        let template = Template::from_gaps(vec![(0, 0, 8), (1, 2, 10)]);
+        let out = wrap(q, &template, &[2], 2).unwrap();
         let s = out.expand().unwrap();
         // Machine 0: setup [0,2), piece [2,8) (6 units).
         assert_eq!(s.machine_load(0), r(8));
@@ -558,25 +543,17 @@ mod tests {
         assert_eq!(s.machine_load(1), r(6));
         assert_eq!(s.num_setups(), 2);
         // Job 0 fully scheduled.
-        let total: Rational = s
-            .placements()
-            .iter()
-            .filter(|p| !p.kind.is_setup())
-            .map(|p| p.len)
-            .fold(Rational::ZERO, |a, b| a + b);
-        assert_eq!(total, r(10));
+        assert_eq!(piece_total(&s), r(10));
     }
 
     /// A crossing *setup* is moved below the next gap in one piece.
     #[test]
     fn crossing_setup_moves_below() {
-        let mut q = WrapSequence::new();
-        q.push_batch(0, r(2), [(0, r(5))]);
-        q.push_batch(1, r(3), [(1, r(4))]);
+        let q = batch_items(0, 2, [(0, 5)]).chain(batch_items(1, 3, [(1, 4)]));
         // Gap 1: [0, 8): holds setup 0 + job 0 (7) with 1 unit slack — setup 1
         // (3 units) crosses. Gap 2: [4, 12) on machine 1.
-        let template = Template::from_gaps(vec![(0, r(0), r(8)), (1, r(4), r(12))]);
-        let out = wrap(&q, &template, &[2, 3], 2).unwrap();
+        let template = Template::from_gaps(vec![(0, 0, 8), (1, 4, 12)]);
+        let out = wrap(q, &template, &[2, 3], 2).unwrap();
         let s = out.expand().unwrap();
         let tl = s.machine_timeline(1);
         // Setup of class 1 below gap 2: [1, 4), then job: [4, 8).
@@ -590,15 +567,14 @@ mod tests {
     /// compact output must stay small while the expanded schedule is full.
     #[test]
     fn parallel_gap_fast_path_compactness() {
-        let mut q = WrapSequence::new();
-        q.push_batch(0, r(1), [(0, r(1000))]);
+        let q = batch_items(0, 1, [(0, 1000)]);
         let template = Template::new(vec![GapRun {
             first_machine: 0,
             count: 200,
-            a: r(1),
-            b: r(7),
+            a: 1,
+            b: 7,
         }]);
-        let out = wrap(&q, &template, &[1], 200).unwrap();
+        let out = wrap(q, &template, &[1], 200).unwrap();
         // 1000 = 6 (first gap after setup... first gap holds [1+1, 7) = 5) …
         // regardless of the exact split: compact storage must be O(1) groups.
         assert!(
@@ -607,13 +583,7 @@ mod tests {
             out.groups().len()
         );
         let s = out.expand().unwrap();
-        let total: Rational = s
-            .placements()
-            .iter()
-            .filter(|p| !p.kind.is_setup())
-            .map(|p| p.len)
-            .fold(Rational::ZERO, |a, b| a + b);
-        assert_eq!(total, r(1000));
+        assert_eq!(piece_total(&s), r(1000));
         // Every machine that holds a piece also holds a setup below the gap.
         for u in 0..200 {
             let tl = s.machine_timeline(u);
@@ -627,11 +597,10 @@ mod tests {
     /// setup must cover its jobs (regression for the configured-class reset).
     #[test]
     fn exact_fit_then_new_batch() {
-        let mut q = WrapSequence::new();
-        q.push_batch(0, r(1), [(0, r(7))]); // exactly fills gap 1: 1 + 7 = 8
-        q.push_batch(1, r(2), [(1, r(3))]);
-        let template = Template::from_gaps(vec![(0, r(0), r(8)), (1, r(2), r(10))]);
-        let out = wrap(&q, &template, &[1, 2], 2).unwrap();
+        // Batch 0 exactly fills gap 1: 1 + 7 = 8.
+        let q = batch_items(0, 1, [(0, 7)]).chain(batch_items(1, 2, [(1, 3)]));
+        let template = Template::from_gaps(vec![(0, 0, 8), (1, 2, 10)]);
+        let out = wrap(q, &template, &[1, 2], 2).unwrap();
         let s = out.expand().unwrap();
         let tl = s.machine_timeline(1);
         assert_eq!(tl[0].kind, ItemKind::Setup(1));
@@ -642,26 +611,23 @@ mod tests {
     /// below-gap setup.
     #[test]
     fn exact_multi_gap_fill_then_same_class_piece() {
-        let mut q = WrapSequence::new();
-        // Two jobs of class 0: first exactly fills gaps (fast path), second
-        // continues in a later gap and needs a below-setup.
-        q.push_setup(0, r(1));
-        q.push_piece(0, 0, r(9)); // gap1 holds 4 (after setup), gaps 2: 5 → exact
-        q.push_piece(0, 1, r(3));
+        // Two jobs of class 0: first exactly fills gaps (fast path: gap 1
+        // holds 4 after the setup, gap 2 holds 5 → exact), second continues
+        // in a later gap and needs a below-setup.
+        let q = batch_items(0, 1, [(0, 9), (1, 3)]);
         let template = Template::new(vec![GapRun {
             first_machine: 0,
             count: 4,
-            a: r(1),
-            b: r(6),
+            a: 1,
+            b: 6,
         }]);
-        let out = wrap(&q, &template, &[1], 4).unwrap();
+        let out = wrap(q, &template, &[1], 4).unwrap();
         let s = out.expand().unwrap();
         // Job 1 must be covered by a setup on its machine.
         let inst_check = {
             // machine holding job 1's piece:
             let p = s
                 .placements()
-                .iter()
                 .find(|p| matches!(p.kind, ItemKind::Piece { job: 1, .. }))
                 .unwrap();
             s.machine_timeline(p.machine)
@@ -669,68 +635,85 @@ mod tests {
                 .any(|q| q.kind == ItemKind::Setup(0))
         };
         assert!(inst_check);
-        let total: Rational = s
-            .placements()
-            .iter()
-            .filter(|p| !p.kind.is_setup())
-            .map(|p| p.len)
-            .fold(Rational::ZERO, |a, b| a + b);
-        assert_eq!(total, r(12));
+        assert_eq!(piece_total(&s), r(12));
     }
 
     #[test]
     fn out_of_space_reported() {
-        let mut q = WrapSequence::new();
-        q.push_batch(0, r(1), [(0, r(100))]);
-        let template = Template::from_gaps(vec![(0, r(0), r(5))]);
-        let err = wrap(&q, &template, &[1], 1).unwrap_err();
+        let q = batch_items(0, 1, [(0, 100)]);
+        let template = Template::from_gaps(vec![(0, 0, 5)]);
+        let err = wrap(q, &template, &[1], 1).unwrap_err();
         assert!(matches!(err, WrapError::OutOfSpace { .. }));
     }
 
     #[test]
     fn setup_below_zero_reported() {
-        let mut q = WrapSequence::new();
-        q.push_batch(0, r(3), [(0, r(10))]);
+        let q = batch_items(0, 3, [(0, 10)]);
         // Second gap starts at 2 < s_0 = 3: moved setup would start below 0.
-        let template = Template::from_gaps(vec![(0, r(0), r(6)), (1, r(2), r(9))]);
-        let err = wrap(&q, &template, &[3], 2).unwrap_err();
+        let template = Template::from_gaps(vec![(0, 0, 6), (1, 2, 9)]);
+        let err = wrap(q, &template, &[3], 2).unwrap_err();
         assert!(matches!(err, WrapError::SetupBelowZero { class: 0 }));
     }
 
     #[test]
     fn empty_sequence_empty_output() {
-        let q = WrapSequence::new();
-        let template = Template::from_gaps(vec![(0, r(0), r(5))]);
-        let out = wrap(&q, &template, &[1], 1).unwrap();
-        assert!(out.groups().is_empty());
+        let template = Template::from_gaps(vec![(0, 0, 5)]);
+        let out = wrap([], &template, &[1], 1).unwrap();
+        assert!(out.groups().len() == 0);
     }
 
     /// The streaming sink path emits exactly the placements of the expanded
     /// compact path — bit-identical, in the same order.
     #[test]
     fn wrap_into_matches_wrap_expand() {
-        let mut q = WrapSequence::new();
-        q.push_batch(0, r(1), [(0, r(9)), (1, r(3))]);
-        q.push_batch(1, r(2), [(2, r(4))]);
+        let q: Vec<SeqItem> = batch_items(0, 1, [(0, 9), (1, 3)])
+            .chain(batch_items(1, 2, [(2, 4)]))
+            .collect();
         let template = Template::new(vec![
             GapRun {
                 first_machine: 0,
                 count: 4,
-                a: r(2),
-                b: r(6),
+                a: 2,
+                b: 6,
             },
-            GapRun::single(4, r(2), r(12)),
+            GapRun::single(4, 2, 12),
         ]);
         let setups = [1u64, 2];
-        let compact = wrap(&q, &template, &setups, 5).unwrap();
+        let compact = wrap(q.clone(), &template, &setups, 5).unwrap();
         let expanded = compact.expand().unwrap();
 
         let mut streamed = Schedule::new(5);
-        wrap_into(&q, template.runs(), &setups, &mut streamed).unwrap();
+        wrap_into(q, template.runs(), &setups, &mut streamed).unwrap();
         assert_eq!(streamed, expanded);
+    }
 
-        let explicit = wrap_explicit(&q, &template, &setups, 5).unwrap();
-        assert_eq!(explicit, expanded.placements());
+    /// A fractional template wraps exactly on a finer grid, and streams the
+    /// same values as the compact path.
+    #[test]
+    fn wrap_on_a_half_grid() {
+        // Grid 1/2: gaps [1, 7/2) on two machines, one job of 4 units.
+        let q: Vec<SeqItem> = batch_items(0, 2, [(0, 8)]).collect();
+        let runs = [GapRun {
+            first_machine: 0,
+            count: 2,
+            a: 2,
+            b: 7,
+        }];
+        let mut out = CompactSchedule::with_grid(2, 2);
+        wrap_append(q.clone(), &runs, &[1], &mut out).unwrap();
+        let s = out.expand().unwrap();
+        assert_eq!(piece_total(&s), r(4));
+        assert_eq!(s.makespan(), Rational::new(7, 2));
+        let mut streamed = Schedule::with_grid(2, 2);
+        wrap_into(q, &runs, &[1], &mut streamed).unwrap();
+        assert_eq!(streamed, s);
+        assert!(bss_schedule::validate(&s, &one_class_instance(), Variant::Splittable).is_empty());
+    }
+
+    fn one_class_instance() -> bss_instance::Instance {
+        let mut b = bss_instance::InstanceBuilder::new(2);
+        b.add_batch(1, &[4]);
+        b.build().unwrap()
     }
 
     /// `wrap_append` into a pre-filled compact schedule extends it in place.
@@ -738,13 +721,11 @@ mod tests {
     fn wrap_append_extends_existing_output() {
         let setups = [2u64, 1];
         let mut out = CompactSchedule::new(3);
-        let mut q = WrapSequence::new();
-        q.push_batch(0, r(2), [(0, r(4))]);
-        wrap_append(&q, &[GapRun::single(0, r(0), r(10))], &setups, &mut out).unwrap();
+        let q = batch_items(0, 2, [(0, 4)]);
+        wrap_append(q, &[GapRun::single(0, 0, 10)], &setups, &mut out).unwrap();
         let first_groups = out.groups().len();
-        let mut q2 = WrapSequence::new();
-        q2.push_batch(1, r(1), [(1, r(5))]);
-        wrap_append(&q2, &[GapRun::single(1, r(0), r(10))], &setups, &mut out).unwrap();
+        let q2 = batch_items(1, 1, [(1, 5)]);
+        wrap_append(q2, &[GapRun::single(1, 0, 10)], &setups, &mut out).unwrap();
         assert!(out.groups().len() > first_groups);
         let s = out.expand().unwrap();
         assert_eq!(s.machine_load(0), r(6));
@@ -766,30 +747,29 @@ mod tests {
 
         // smax = 3; capacity per gap: N/m … use the Lemma 8 template.
         let n = inst.total_load_once(); // 2+1+3 + 5+3+8+4+4+6 = 36
-        let per = Rational::from(n) / inst.machines(); // 9
-        let smax = Rational::from(inst.smax());
+        let per = n as i128 / inst.machines() as i128; // 9
+        let smax = inst.smax() as i128;
         let template = Template::new(vec![GapRun {
             first_machine: 0,
             count: 4,
             a: smax,
             b: smax + per,
         }]);
-        let mut q = WrapSequence::new();
-        for i in 0..inst.num_classes() {
-            q.push_batch(
+        let q = (0..inst.num_classes()).flat_map(|i| {
+            batch_items(
                 i,
-                Rational::from(inst.setup(i)),
+                i128::from(inst.setup(i)),
                 inst.class_jobs(i)
                     .iter()
-                    .map(|&j| (j, Rational::from(inst.job(j).time))),
-            );
-        }
-        let out = wrap(&q, &template, inst.setups(), 4).unwrap();
+                    .map(|&j| (j, i128::from(inst.job(j).time))),
+            )
+        });
+        let out = wrap(q, &template, inst.setups(), 4).unwrap();
         let compact_violations = bss_schedule::validate_compact(&out, &inst, Variant::Splittable);
         assert!(compact_violations.is_empty(), "{compact_violations:?}");
         let s: Schedule = out.expand().unwrap();
         let violations = bss_schedule::validate(&s, &inst, Variant::Splittable);
         assert!(violations.is_empty(), "{violations:?}");
-        assert!(s.makespan() <= smax + per);
+        assert!(s.makespan() <= r(smax + per));
     }
 }

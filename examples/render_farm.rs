@@ -58,11 +58,9 @@ fn main() {
         nodes
     );
     println!("\nfirst configuration groups (node ranges with one shared timeline):");
-    for g in compact.groups().iter().take(8) {
+    for g in compact.groups().take(8) {
         let classes: Vec<String> = g
-            .config
-            .items
-            .iter()
+            .items()
             .map(|it| match it.kind {
                 ItemKind::Setup(c) => format!("load(shot {c})"),
                 ItemKind::Piece { class, .. } => format!("render(shot {class}, {}m)", it.len),

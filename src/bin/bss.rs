@@ -81,6 +81,11 @@ USAGE:
   wire format); uniform instances route through the batch-setup reduction
   with the proven 3/2 bound, general ones through the heuristic dual.
 
+  `validate` loads the schedule onto one exact i128 tick grid, the lcm of
+  all its time denominators. A file whose lcm leaves i128 (four pairwise-
+  coprime denominators near 2^32 already do) is refused with \"schedule
+  times share no i128 tick grid\" instead of being judged.
+
   `serve` runs the solver as a long-lived TCP daemon (length-prefixed JSON
   frames, see bss-serve): thread-per-core solving with warm workspaces, a
   content-hash solve cache, request micro-batching, and typed shedding once

@@ -37,11 +37,7 @@ fn assert_identical(label: &str, a: &Solution, b: &Solution) {
     assert_eq!(a.ratio_bound, b.ratio_bound, "{label}: ratio_bound");
     assert_eq!(a.certificate, b.certificate, "{label}: certificate");
     assert_eq!(a.probes, b.probes, "{label}: probes");
-    assert_eq!(
-        a.schedule().placements(),
-        b.schedule().placements(),
-        "{label}: placements"
-    );
+    assert_eq!(a.schedule(), b.schedule(), "{label}: schedule");
 }
 
 /// `Solution`-level sanity for a (possibly degraded) solve: feasible,

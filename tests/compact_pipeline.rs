@@ -48,7 +48,7 @@ fn expand_into_is_bit_identical_to_expand_then_absorb() {
         // And into a bare placement buffer, matching the schedule's tail.
         let mut buf = Vec::new();
         compact.expand_into(&mut buf).expect("in range");
-        assert_eq!(&new.placements()[base.placements().len()..], &buf[..]);
+        assert!(new.placements().skip(base.placements().len()).eq(buf));
     }
 }
 
@@ -211,7 +211,11 @@ fn validators_agree_on_every_violation_family() {
         ("Overlap", |_, cs, rng| {
             // Duplicate a random group onto the same machines: every item
             // collides with itself.
-            let g = cs.groups()[rng.gen_range(0..cs.groups().len())].clone();
+            let g = cs
+                .groups()
+                .nth(rng.gen_range(0..cs.groups().len()))
+                .expect("in range")
+                .to_group();
             cs.push_group(g.first_machine, g.count, g.config);
             Variant::Splittable
         }),
@@ -279,10 +283,9 @@ fn validators_agree_on_every_violation_family() {
             // overlap and the broken totals — family sets still agree).
             let g = cs
                 .groups()
-                .iter()
-                .find(|g| g.config.items.iter().any(|it| !it.kind.is_setup()))
+                .find(|g| g.items().any(|it| !it.kind.is_setup()))
                 .expect("solver output has pieces")
-                .clone();
+                .to_group();
             cs.push_group(g.first_machine, g.count, g.config);
             Variant::Preemptive
         }),
@@ -302,7 +305,7 @@ fn validators_agree_on_every_violation_family() {
                 let has_split = {
                     let mut counts = vec![0u32; inst.num_jobs()];
                     for g in cs.groups() {
-                        for it in &g.config.items {
+                        for it in g.items() {
                             if let ItemKind::Piece { job, .. } = it.kind {
                                 counts[job] += g.count as u32;
                             }
@@ -372,8 +375,86 @@ fn custom_sinks_compose() {
     assert_eq!(counter.placements, expanded.placements().len());
     let expected: Rational = expanded
         .placements()
-        .iter()
         .map(|p| p.len)
         .fold(Rational::ZERO, |a, b| a + b);
     assert_eq!(counter.total, expected);
+}
+
+mod representation {
+    //! The tick-grid storage seen through solver output: over `bss-gen`
+    //! families, every variant and algorithm, decoding is exact and every
+    //! derived figure agrees with the decoded values.
+
+    use batch_setup_scheduling::prelude::*;
+    use proptest::prelude::*;
+
+    fn family(kind: usize, n: usize, m: usize, seed: u64) -> Instance {
+        match kind {
+            0 => batch_setup_scheduling::gen::uniform(n, (n / 20).max(2), m, seed),
+            1 => batch_setup_scheduling::gen::zipf_classes(n, (n / 15).max(2), m, seed),
+            2 => batch_setup_scheduling::gen::expensive_setups(n, m, seed),
+            3 => batch_setup_scheduling::gen::small_batches(n, m, seed),
+            // All-expensive needs fewer classes than machines.
+            _ => batch_setup_scheduling::gen::all_expensive(n, (m - 1).clamp(1, 8), m, seed),
+        }
+    }
+
+    const ALGORITHMS: [Algorithm; 3] = [
+        Algorithm::TwoApprox,
+        Algorithm::ThreeHalves,
+        Algorithm::EpsilonSearch { eps_log2: 10 },
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(6))]
+
+        #[test]
+        fn solver_schedules_decode_exactly(
+            kind in 0usize..5,
+            n in 10usize..2000,
+            m in 2usize..40,
+            seed in 0u64..1000,
+        ) {
+            let inst = family(kind, n, m, seed);
+            for variant in Variant::ALL {
+                for algo in ALGORITHMS {
+                    let sol = solve(&inst, variant, algo);
+                    let s = sol.schedule();
+                    // Encode, decode, re-encode: identical bytes, equal
+                    // schedules (whatever grid the decoder picked).
+                    let json = s.to_json();
+                    let back = Schedule::from_json(&json).expect("own output decodes");
+                    prop_assert_eq!(&back, s);
+                    prop_assert_eq!(back.to_json(), json);
+                    // The O(1) makespan is the largest decoded end.
+                    let largest = s
+                        .placements()
+                        .map(|p| p.end())
+                        .max()
+                        .unwrap_or(Rational::ZERO);
+                    prop_assert_eq!(s.makespan(), largest);
+                    prop_assert_eq!(sol.makespan, largest);
+                    // A compact schedule expands to its decoded group items.
+                    if let Some(cs) = sol.compact() {
+                        let mut decoded = Vec::new();
+                        for g in cs.groups() {
+                            for k in 0..g.count {
+                                for item in g.items().filter(|it| it.len.is_positive()) {
+                                    decoded.push(Placement::new(
+                                        g.first_machine + k,
+                                        item.start,
+                                        item.len,
+                                        item.kind,
+                                    ));
+                                }
+                            }
+                        }
+                        let expanded = cs.expand().expect("solver output is in range");
+                        prop_assert!(expanded.placements().eq(decoded));
+                        prop_assert_eq!(cs.makespan(), sol.makespan);
+                    }
+                }
+            }
+        }
+    }
 }

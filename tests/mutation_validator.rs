@@ -21,12 +21,11 @@ fn solved(seed: u64) -> (Instance, Schedule, Variant) {
 fn deleting_a_piece_is_caught() {
     for seed in 0..20 {
         let (inst, mut s, variant) = solved(seed);
-        let idx = s
+        let victim = s
             .placements()
-            .iter()
-            .position(|p| !p.kind.is_setup())
+            .find(|p| !p.kind.is_setup())
             .expect("has pieces");
-        s.placements_mut().remove(idx);
+        s.retain(|p| *p != victim);
         assert!(
             validate(&s, &inst, variant)
                 .iter()
@@ -40,12 +39,11 @@ fn deleting_a_piece_is_caught() {
 fn deleting_a_setup_is_caught() {
     for seed in 0..20 {
         let (inst, mut s, variant) = solved(seed);
-        let idx = s
+        let victim = s
             .placements()
-            .iter()
-            .position(|p| p.kind.is_setup())
+            .find(|p| p.kind.is_setup())
             .expect("has setups");
-        s.placements_mut().remove(idx);
+        s.retain(|p| *p != victim);
         // Removing a setup either uncovers a run or (if it was trailing /
         // redundant) changes nothing structurally; the algorithms never emit
         // redundant setups, so a violation must surface.
@@ -62,10 +60,9 @@ fn shrinking_a_piece_is_caught() {
         let (inst, mut s, variant) = solved(seed);
         let idx = s
             .placements()
-            .iter()
             .position(|p| !p.kind.is_setup() && p.len > Rational::ONE)
             .expect("has a long piece");
-        s.placements_mut()[idx].len -= Rational::new(1, 3);
+        s.edit(idx, |p| p.len -= Rational::new(1, 3));
         assert!(
             validate(&s, &inst, variant)
                 .iter()
@@ -83,18 +80,18 @@ fn overlapping_shift_is_caught() {
         let (inst, mut s, variant) = solved(seed);
         // Pick a machine with >= 2 placements and shift a later one down
         // into its predecessor.
-        let machine = s.placements()[rng.gen_range(0..s.placements().len())].machine;
+        let machine = s
+            .placements()
+            .nth(rng.gen_range(0..s.placements().len()))
+            .expect("in range")
+            .machine;
         let tl = s.machine_timeline(machine);
         if tl.len() < 2 {
             continue;
         }
         let victim = tl[1];
-        let idx = s
-            .placements()
-            .iter()
-            .position(|p| p == &victim)
-            .expect("present");
-        s.placements_mut()[idx].start = tl[0].start; // collide with first item
+        let idx = s.placements().position(|p| p == victim).expect("present");
+        s.edit(idx, |p| p.start = tl[0].start); // collide with first item
         let violations = validate(&s, &inst, variant);
         assert!(!violations.is_empty(), "seed {seed}: overlap unnoticed");
         caught += 1;
@@ -110,7 +107,7 @@ fn moving_piece_to_unset_machine_is_caught() {
         // piece's time; machine count is 4, schedules rarely use a machine
         // for *every* class, so search for a violating move.
         let mut mutated = false;
-        let placements = s.placements().to_vec();
+        let placements = s.placements().collect::<Vec<_>>();
         for (idx, p) in placements.iter().enumerate() {
             if p.kind.is_setup() {
                 continue;
@@ -125,7 +122,7 @@ fn moving_piece_to_unset_machine_is_caught() {
                     .iter()
                     .any(|q| q.kind == ItemKind::Setup(class));
                 if !covered {
-                    s.placements_mut()[idx].machine = target;
+                    s.edit(idx, |p| p.machine = target);
                     mutated = true;
                     break;
                 }
@@ -155,12 +152,12 @@ fn relabeling_piece_class_is_caught() {
         }
         let idx = s
             .placements()
-            .iter()
             .position(|p| !p.kind.is_setup())
             .expect("has pieces");
-        if let ItemKind::Piece { job, class } = s.placements()[idx].kind {
+        let kind = s.placements().nth(idx).map(|p| p.kind);
+        if let Some(ItemKind::Piece { job, class }) = kind {
             let other = (class + 1) % inst.num_classes();
-            s.placements_mut()[idx].kind = ItemKind::Piece { job, class: other };
+            s.edit(idx, |p| p.kind = ItemKind::Piece { job, class: other });
             assert!(
                 validate(&s, &inst, variant)
                     .iter()
@@ -177,10 +174,9 @@ fn stretching_a_setup_is_caught() {
         let (inst, mut s, variant) = solved(seed);
         let idx = s
             .placements()
-            .iter()
             .position(|p| p.kind.is_setup())
             .expect("has setups");
-        s.placements_mut()[idx].len += Rational::ONE;
+        s.edit(idx, |p| p.len += Rational::ONE);
         assert!(
             validate(&s, &inst, variant).iter().any(|v| matches!(
                 v,
@@ -195,9 +191,8 @@ fn stretching_a_setup_is_caught() {
 fn duplicating_a_piece_is_caught() {
     for seed in 0..20 {
         let (inst, mut s, variant) = solved(seed);
-        let p = *s
+        let p = s
             .placements()
-            .iter()
             .find(|p| !p.kind.is_setup())
             .expect("has pieces");
         s.push(p); // same place: overlap AND wrong job total
@@ -225,12 +220,11 @@ fn splitting_a_nonpreemptive_job_is_caught() {
         let mut s = sol.into_schedule();
         let idx = s
             .placements()
-            .iter()
             .position(|p| !p.kind.is_setup() && p.len > Rational::ONE)
             .expect("has a splittable piece");
-        let p = s.placements()[idx];
+        let p = s.placements().nth(idx).expect("in range");
         let half = p.len.half();
-        s.placements_mut()[idx].len = half;
+        s.edit(idx, |q| q.len = half);
         s.push(Placement::new(
             p.machine,
             p.start + half,

@@ -125,7 +125,6 @@ fn theorem7_uses_beta_machines_per_expensive_class() {
         for i in cls.iexp() {
             let machines: HashSet<usize> = s
                 .placements()
-                .iter()
                 .filter(|p| !p.kind.is_setup() && p.kind.class() == i)
                 .map(|p| p.machine)
                 .collect();

@@ -79,7 +79,6 @@ proptest! {
             let placed: Rational = sol
                 .schedule()
                 .placements()
-                .iter()
                 .filter(|p| !p.kind.is_setup())
                 .map(|p| p.len)
                 .fold(Rational::ZERO, |a, b| a + b);

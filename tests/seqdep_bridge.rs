@@ -168,7 +168,7 @@ fn seqdep_json_solves_identically_after_round_trip() {
     let a = solve_seqdep(&inst, Algorithm::ThreeHalves);
     let b = solve_seqdep(&back, Algorithm::ThreeHalves);
     assert_eq!(a.makespan, b.makespan);
-    assert_eq!(a.schedule().placements(), b.schedule().placements());
+    assert_eq!(a.schedule(), b.schedule());
 }
 
 /// The `O(c²)` uniformity scan is memoized on the *instance*: however many
